@@ -6,7 +6,9 @@
     min sum(x)   subject to  A x = y, x >= 0    (signed regime)
 
 by ADMM-style operator splitting: the x-step is the exact Euclidean
-projection onto {A x = y} through one cached Cholesky of A A^T, the z-step
+projection onto {A x = y}, v - W^T (W v - c) with W = L^{-1} A and
+c = L^{-1} y factored once per solve from the Cholesky factor L of A A^T
+(Boyd et al. 2011, section 4.2: factorization caching); the z-step
 is the l1 prox (soft threshold) or the nonnegative shifted clip, with
 over-relaxation 1.8 and fixed penalty rho = 1.  The returned iterate is the
 z-iterate — exactly sparse after thresholding (general) or exactly
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 from .linalg import ScaleLimitError, cholesky_spd
 from .threshold import Regime
@@ -120,54 +122,66 @@ def solve_bp(
     (converged=False).  Raises a rank-deficiency error when A A^T is
     singular.
 
+    The affine projection is factored once per solve: with L the Cholesky
+    factor of A A^T, W = L^{-1} A and c = L^{-1} y, the projection of v is
+    v - W^T (W v - c), two matrix-vector products per iteration.
+
     ``objective_cutoff`` arms an early stop for callers that only need to
     know whether the optimum lies below a threshold: every 64 iterations the
     solver builds a feasible candidate from the current sparsity pattern
     (see ``_cutoff_certified``), and once one lands strictly below the
     cutoff it returns immediately with converged=False — the optimum can
     only be lower, so further polishing cannot change a decision keyed to
-    the cutoff.  The default None leaves the iteration untouched.
+    the cutoff.  The candidate depends on the support alone, so a check
+    whose support equals the previous check's is skipped: it could only
+    repeat that check's negative answer.  The default None leaves the
+    iteration untouched.
     """
     a, y = problem.A, problem.y
     n = problem.n
     lower = cholesky_spd(a @ a.T)
-
-    def project_affine(v: np.ndarray) -> np.ndarray:
-        return v - a.T @ cho_solve((lower, True), a @ v - y)
+    w = solve_triangular(lower, a, lower=True)
+    c = solve_triangular(lower, y, lower=True)
 
     inv_rho = 1.0 / _ADMM_RHO
     signed = problem.regime is Regime.SIGNED
     z = np.zeros(n)
     u = np.zeros(n)
-    y_scale = max(1.0, float(np.linalg.norm(y)))
+    tol_sq = _ADMM_TOL * _ADMM_TOL
+    feas_tol_sq = tol_sq * max(1.0, float(y @ y))
+    # The empty support never certifies, so it doubles as "nothing checked".
+    checked_support = np.empty(0, dtype=np.intp)
     iterations = 0
     converged = False
     for iterations in range(1, _ADMM_MAX_ITERS + 1):
-        x = project_affine(z - u)
+        v = z - u
+        x = v - w.T @ (w @ v - c)
         x_relaxed = _ADMM_RELAX * x + (1.0 - _ADMM_RELAX) * z
         step = x_relaxed + u
         z_prev = z
         if signed:
             z = np.maximum(0.0, step - inv_rho)
         else:
-            z = np.sign(step) * np.maximum(0.0, np.abs(step) - inv_rho)
+            z = step - np.clip(step, -inv_rho, inv_rho)
         u = u + x_relaxed - z
 
-        primal = float(np.linalg.norm(x - z))
-        dual = _ADMM_RHO * float(np.linalg.norm(z - z_prev))
-        scale = _ADMM_TOL * max(
-            1.0, float(np.linalg.norm(x)), float(np.linalg.norm(z))
-        )
-        if primal <= scale and dual <= scale:
-            if float(np.linalg.norm(a @ z - y)) <= _ADMM_TOL * y_scale:
+        primal = x - z
+        dual = z - z_prev
+        scale_sq = tol_sq * max(1.0, float(x @ x), float(z @ z))
+        if (
+            float(primal @ primal) <= scale_sq
+            and _ADMM_RHO * _ADMM_RHO * float(dual @ dual) <= scale_sq
+        ):
+            residual = a @ z - y
+            if float(residual @ residual) <= feas_tol_sq:
                 converged = True
                 break
-        if (
-            objective_cutoff is not None
-            and iterations % _CUTOFF_CHECK_PERIOD == 0
-            and _cutoff_certified(a, y, lower, z, signed, objective_cutoff)
-        ):
-            break
+        if objective_cutoff is not None and iterations % _CUTOFF_CHECK_PERIOD == 0:
+            support = np.flatnonzero(z)
+            if not np.array_equal(support, checked_support):
+                checked_support = support
+                if _cutoff_certified(a, y, w, c, support, signed, objective_cutoff):
+                    break
 
     feas = float(np.linalg.norm(a @ z - y))
     return BPSolution(
@@ -182,8 +196,9 @@ def solve_bp(
 def _cutoff_certified(
     a: np.ndarray,
     y: np.ndarray,
-    lower: np.ndarray,
-    z: np.ndarray,
+    w: np.ndarray,
+    c: np.ndarray,
+    support: np.ndarray,
     signed: bool,
     cutoff: float,
 ) -> bool:
@@ -191,19 +206,18 @@ def _cutoff_certified(
 
     The z-iterate is exactly sparse after its prox step, so its support is a
     candidate optimal basis: least-squares fit y on those columns, then one
-    affine projection makes the embedded candidate feasible to machine
-    precision.  A candidate below the cutoff (nonnegative to 1e-9 in the
-    signed regime) upper-bounds the optimum regardless of where the iterate
-    eventually converges.  Supports wider than m cannot form a vertex and are
-    skipped.
+    affine projection (through the solver's W = L^{-1} A, c = L^{-1} y)
+    makes the embedded candidate feasible to machine precision.  A candidate
+    below the cutoff (nonnegative to 1e-9 in the signed regime)
+    upper-bounds the optimum regardless of where the iterate eventually
+    converges.  Supports wider than m cannot form a vertex and are skipped.
     """
-    support = np.flatnonzero(z)
     if support.size == 0 or support.size > a.shape[0]:
         return False
     coeffs, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
     candidate = np.zeros(a.shape[1])
     candidate[support] = coeffs
-    candidate -= a.T @ cho_solve((lower, True), a @ candidate - y)
+    candidate -= w.T @ (w @ candidate - c)
     if signed:
         if float(candidate.min()) < -_CUTOFF_CONE_TOL:
             return False

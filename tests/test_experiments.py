@@ -190,14 +190,14 @@ class TestPhaseGrid:
         cell = PhaseCell(alpha=0.5, beta=0.2, m=5, k=2, trials=8, successes=6)
         assert cell.rate == 0.75
 
-    def test_infeasible_cells_are_skipped(self, capsys):
+    def test_infeasible_cells_are_skipped(self, caplog):
         # alpha = 0.05 at n = 20 gives m = 1 <= k: skipped with a warning.
         grid = PhaseGrid(
             n=20, alphas=(0.05, 0.9), betas=(0.1,), trials_per_cell=2, seed=3
         )
         cells = run_phase_grid(grid)
         assert [c.m for c in cells] == [18]
-        assert "skipping infeasible cell" in capsys.readouterr().err
+        assert "skipping infeasible cell" in caplog.text
 
     def test_rounding_of_m_and_k(self):
         grid = PhaseGrid(

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1weak import recovery
+from l1weak.experiments import CounterStream, split_stream_seed
 from l1weak.recovery import (
     BPProblem,
     InfeasibleError,
@@ -226,3 +228,65 @@ class TestObjectiveCutoff:
         sol = solve_bp(BPProblem(A=a, y=y))
         # Without a cutoff the solver runs its full course on this instance.
         assert sol.iterations == 50_000 or sol.converged
+
+
+def _trial_instance(index: int):
+    """A ``run_trial``-style instance at n = 60: unit magnitudes, trial cutoff."""
+    regime = Regime.GENERAL if index % 2 == 0 else Regime.SIGNED
+    n, m, k = 60, 24 + 3 * (index % 5), 12 + index % 3
+    stream = CounterStream(split_stream_seed(2024, index))
+    a = stream.normals(m * n).reshape(m, n)
+    support = stream.choose_support(n, k)
+    signs = stream.sign_draws(k) if regime is Regime.GENERAL else (1,) * k
+    x0 = np.zeros(n)
+    x0[list(support)] = signs
+    cutoff = float(np.abs(x0).sum()) - max(0.05, 2e-4 * n)
+    return BPProblem(A=a, y=a @ x0, regime=regime), x0, cutoff
+
+
+#: (iterations, converged, recovered) per ``_trial_instance`` index, as
+#: computed by the solver that projected through ``cho_solve`` and ran every
+#: cutoff check; the hot path must reproduce them exactly.
+_FROZEN_TRIAL_OUTCOMES = [
+    (64, False, False), (1047, True, True), (64, False, False), (464, True, True),
+    (1920, False, False), (2832, True, True), (1078, True, True), (716, True, True),
+    (64, False, False), (398, True, True), (64, False, False), (128, False, False),
+    (64, False, False), (588, True, True), (438, True, True), (2784, True, True),
+    (64, False, False), (192, False, False), (591, True, True), (443, True, True),
+]
+
+
+class TestHotPath:
+    """The cached projection and the support-keyed cutoff skip change no iterate."""
+
+    def test_trial_outcomes_frozen(self):
+        outcomes = []
+        for index in range(len(_FROZEN_TRIAL_OUTCOMES)):
+            problem, x0, cutoff = _trial_instance(index)
+            sol = solve_bp(problem, objective_cutoff=cutoff)
+            outcomes.append((sol.iterations, sol.converged, check_recovery(x0, sol)))
+        assert outcomes == _FROZEN_TRIAL_OUTCOMES
+
+    def test_cutoff_resolves_only_on_support_change(self, monkeypatch):
+        # Index 5 converges after 2832 iterations with the cutoff armed but
+        # never firing, so its support settles over dozens of checks.
+        problem, x0, cutoff = _trial_instance(5)
+        seen, solved = [], []
+        flatnonzero, lstsq = np.flatnonzero, np.linalg.lstsq
+
+        def recording_flatnonzero(v):
+            support = flatnonzero(v)
+            seen.append(tuple(support))
+            return support
+
+        def counting_lstsq(*args, **kwargs):
+            solved.append(args[0].shape[1])
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np, "flatnonzero", recording_flatnonzero)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        sol = solve_bp(problem, objective_cutoff=cutoff)
+
+        assert (sol.iterations, sol.converged) == _FROZEN_TRIAL_OUTCOMES[5][:2]
+        assert len(seen) == sol.iterations // recovery._CUTOFF_CHECK_PERIOD
+        assert 0 < len(solved) <= len(set(seen)) < len(seen)
