@@ -15,19 +15,23 @@ support, tail = support, after canonicalization):
 
 tau < 0 exhibits a null vector that defeats recovery (and
 :func:`construct_counterexample` turns it into a concrete sparse vector the
-solver provably misses); tau = 0 with a strictly positive minimum over the
-unit *sphere* certifies success for every vector with the pattern.
+solver provably misses).  tau = 0 alone cannot separate strict success from
+ties, so success is certified by a strict dual certificate (Fuchs 2004;
+Foucart & Rauhut 2013, Thm 4.30): A_S is injective and some nu has
+A_S^T nu = s and ||A_{S^c}^T nu||_inf < 1 (signed regime: the one-sided max
+instead of the inf-norm).
 
 The production solver :func:`tau_dual` uses the dual form of tau: minus the
 Euclidean distance between range(A^T) and a box slice Z (head coordinates
 box-constrained, tail coordinates pinned at the pattern signs), computed by
-alternating projections finished by an exact bound-constrained least-squares
-solve in the box slacks.  An independent primal oracle
+an exact bound-constrained least-squares solve in the box slacks, with
+alternating projections only as the fallback when that solve does not reach
+machine-level KKT residuals.  An independent primal oracle
 (:func:`tau_primal_oracle`, exact conic projection when a descending null
-direction exists, projected subgradient with restarts and exact face
-minimization otherwise) cross-checks it; :func:`classify_nsp` combines the
-two into a three-way verdict and :func:`verify_certificate` re-checks every
-claim a certificate makes from scratch.
+direction exists, 0 otherwise) cross-checks it; :func:`classify_nsp`
+combines tau with the strict dual certificate into a three-way verdict and
+:func:`verify_certificate` re-checks every claim a certificate makes from
+scratch.
 """
 
 from __future__ import annotations
@@ -36,14 +40,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space as _dense_null_space
+from scipy.linalg import cho_solve
 from scipy.optimize import lsq_linear as _lsq_linear
 from scipy.optimize import nnls as _nnls
 
 from .linalg import (
     RankDeficiencyError,
     RowspaceProjector,
-    ScaleLimitError,
     cholesky_spd,
     nullspace_basis,
 )
@@ -58,7 +61,6 @@ __all__ = [
     "CERTIFIED_FAILURE",
     "CERTIFIED_SUCCESS",
     "INCONCLUSIVE",
-    "ORACLE_MAX_N",
     "canonicalize",
     "nullspace_objective",
     "tau_dual",
@@ -67,9 +69,6 @@ __all__ = [
     "construct_counterexample",
     "verify_certificate",
 ]
-
-#: Largest n the primal sphere oracle accepts.
-ORACLE_MAX_N = 200
 
 CERTIFIED_FAILURE = "certified_failure"
 CERTIFIED_SUCCESS = "certified_success"
@@ -84,13 +83,6 @@ _KKT_ACTIVITY = 1e-7
 _SIGNED_HEAD_CAP = -1e6
 #: Distance below which no unit witness direction is extracted.
 _WITNESS_MIN_DISTANCE = 1e-9
-
-_ORACLE_RESTARTS = 20
-_ORACLE_STEPS = 400
-_ORACLE_STEP_SCALE = 0.5
-_ORACLE_SEED = 0x51C2A7
-_FACE_THRESHOLDS = (0.0, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4)
-_CONE_PROJECT_ROUNDS = 12
 
 
 def _as_matrix(name: str, a) -> np.ndarray:
@@ -244,6 +236,8 @@ class TauCertificate:
     row space by construction); it is None when the dual distance is below
     1e-9 (success-side instances have no failure direction to report).
     ``gap`` is |tau - phi(w_witness)| (|tau| when no witness exists).
+    ``iterations`` counts the alternating-projection steps run: 0 when the
+    exact slack solve decided z, which is the usual case.
     """
 
     tau: float
@@ -304,18 +298,21 @@ def _dual_slack_exact(
     box bound (+1) and slacks s in [0, 2] (general) or [0, inf) (signed),
     and eliminating nu exactly through the orthogonal complement Q = I - P
     of the row-space projector, the dual distance problem becomes
-    min ||(Q E) s - Q anchor|| over the slack bounds.  A library solve
-    seeds :func:`_box_lsq_refine`, which accepts only machine-level KKT
-    residuals, so alternating-projection stalls — arbitrarily slow when the
-    box slice is nearly tangent to the row space — cannot leak into the
-    reported tau.  Returns None if the refinement budget is exhausted.
+    min ||(Q E) s - Q anchor|| over the slack bounds; Q E and Q anchor come
+    from one block solve with the projector's Cholesky factor.  A library
+    solve seeds :func:`_box_lsq_refine`, which accepts only machine-level
+    KKT residuals, so no iteration-change stall (alternating projections
+    are arbitrarily slow when the box slice is nearly tangent to the row
+    space) can leak into the reported tau.  Returns None if the refinement
+    budget is exhausted.
     """
     anchor = np.ones(n)
     anchor[head_size:] = tail_value
     embed = np.zeros((n, head_size))
     embed[np.arange(head_size), np.arange(head_size)] = 1.0
-    q_embed = embed - np.column_stack([projector(embed[:, j]) for j in range(head_size)])
-    q_anchor = anchor - projector(anchor)
+    block = np.column_stack([embed, anchor])
+    q_block = block - projector.project_columns(block)
+    q_embed, q_anchor = q_block[:, :head_size], q_block[:, head_size]
     if regime is Regime.GENERAL:
         upper = 2.0
         try:
@@ -366,13 +363,13 @@ def _dual_stationary(z: np.ndarray, u: np.ndarray, head_size: int, regime: Regim
 def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> TauCertificate:
     """tau(A) via its dual form: minus the distance from a box slice to range(A^T).
 
-    Alternating projections between Z (head coordinates clipped to [-1, 1]
-    general / (-inf, 1] signed, tail pinned at the pattern sign) and
-    range(A^T), run until the distance change drops below 1e-12 or 10^4
-    iterations; then the exact slack-form solve of the same problem
-    (:func:`_dual_slack_exact`), kept only if it does not lengthen the
-    certified distance; then a final projection of z so that the reported
-    pair (z, u = P z, nu) is exactly consistent and the witness
+    The exact slack-form solve (:func:`_dual_slack_exact`) gives the
+    nearest point z of the box slice Z (head coordinates in [-1, 1] general
+    / (-inf, 1] signed, tail pinned at the pattern sign).  Only when its
+    refinement budget runs out do alternating projections between Z and
+    range(A^T) take over, until the distance change drops below 1e-12 or
+    10^4 iterations.  A final projection of z makes the reported pair
+    (z, u = P z, nu) exactly consistent, so the witness
     w = (u - z)/||u - z|| lies in null(A) to machine precision.  The
     ``converged`` flag is the KKT stationarity of the final pair
     (:func:`_dual_stationary`), not an iteration-change rule.
@@ -390,24 +387,19 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     head_size = canon.head_size
     tail_value = -1.0 if regime is Regime.GENERAL else 1.0
 
-    z = np.zeros(n)
-    z[head_size:] = tail_value
-    d_prev = math.inf
+    z = _dual_slack_exact(projector, head_size, regime, tail_value, n)
     iterations = 0
-    for iterations in range(1, _AP_MAX_ITERS + 1):
-        u = projector(z)
-        z = _clip_to_dual_set(u, head_size, regime, tail_value)
-        d = float(np.linalg.norm(z - u))
-        if abs(d_prev - d) < _AP_TOL:
-            break
-        d_prev = d
-
-    if m > 0 and head_size > 0:
-        exact = _dual_slack_exact(projector, head_size, regime, tail_value, n)
-        if exact is not None:
-            d_exact = float(np.linalg.norm(exact - projector(exact)))
-            if d_exact <= float(np.linalg.norm(z - projector(z))):
-                z = exact
+    if z is None:
+        z = np.zeros(n)
+        z[head_size:] = tail_value
+        d_prev = math.inf
+        for iterations in range(1, _AP_MAX_ITERS + 1):
+            u = projector(z)
+            z = _clip_to_dual_set(u, head_size, regime, tail_value)
+            d = float(np.linalg.norm(z - u))
+            if abs(d_prev - d) < _AP_TOL:
+                break
+            d_prev = d
 
     u, nu = projector.project_with_coefficients(z)
     d = float(np.linalg.norm(z - u))
@@ -440,73 +432,6 @@ def _objective_canonical(w: np.ndarray, head_size: int, regime: Regime) -> float
     if regime is Regime.GENERAL:
         return float(np.sum(np.abs(w[:head_size])) - np.sum(w[head_size:]))
     return float(np.sum(w))
-
-
-def _cone_project(basis: np.ndarray, head_size: int, v: np.ndarray) -> np.ndarray | None:
-    """Approximate projection of direction v onto {w_head >= 0} within null(A).
-
-    Alternates clipping the head with re-projection onto the null space a
-    fixed number of rounds, then renormalizes; returns None when the
-    direction collapses (the cone meets the null space only at 0 along it).
-    """
-    for _ in range(_CONE_PROJECT_ROUNDS):
-        w = basis @ v
-        w[:head_size] = np.maximum(w[:head_size], 0.0)
-        v = basis.T @ w
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        return None
-    return v / norm
-
-
-def _face_candidates(
-    basis: np.ndarray,
-    head_size: int,
-    regime: Regime,
-    v: np.ndarray,
-    current_value: float,
-) -> tuple[np.ndarray, float] | None:
-    """Exact minimization on faces suggested by v; best strict improvement.
-
-    On the face {w_i = 0 for i in a near-zero head set}, the functional is
-    linear with the current sign pattern, so its sphere minimum restricted to
-    the face has the closed form -K K^T N^T c (K an orthonormal basis of the
-    face's direction space).  Candidates are scored by the TRUE functional,
-    so every accepted value is an honest upper bound.
-    """
-    n, dim = basis.shape
-    w = basis @ v
-    head = w[:head_size]
-    best: tuple[np.ndarray, float] | None = None
-    for threshold in _FACE_THRESHOLDS:
-        if regime is Regime.GENERAL:
-            face = np.abs(head) <= threshold
-        else:
-            face = head <= threshold
-        idx = np.where(face)[0]
-        c_face = np.ones(n)
-        if regime is Regime.GENERAL:
-            c_face[:head_size] = np.sign(head)
-            c_face[idx] = 0.0
-            c_face[head_size:] = -1.0
-        if idx.size:
-            face_basis = _dense_null_space(basis[idx, :])
-            if face_basis.size == 0:
-                continue
-        else:
-            face_basis = np.eye(dim)
-        q = face_basis.T @ (basis.T @ c_face)
-        q_norm = float(np.linalg.norm(q))
-        if q_norm < 1e-14:
-            continue
-        v_c = -(face_basis @ q) / q_norm
-        w_c = basis @ v_c
-        if regime is Regime.SIGNED and head_size and float(w_c[:head_size].min()) < -1e-10:
-            continue
-        value = _objective_canonical(w_c, head_size, regime)
-        if value < current_value - 1e-15 and (best is None or value < best[1]):
-            best = (v_c, value)
-    return best
 
 
 def _box_lsq_refine(
@@ -646,117 +571,56 @@ def _descent_minimum_exact(a_canon: np.ndarray, basis: np.ndarray, head_size: in
     return _objective_canonical(w / norm, head_size, regime)
 
 
-def _sphere_minimum(A, pattern: SupportPattern, regime: Regime) -> float:
-    """Minimum of the functional over unit sphere ∩ null(A) (∩ cone, signed).
+def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> float:
+    """Independent primal evaluation of tau(A) over the unit ball.
 
-    Whenever the minimum is negative the problem is convex over the unit
-    ball and :func:`_descent_minimum_exact` evaluates it exactly.  On the
-    nonnegative side (no descending null direction exists) the value comes
-    from projected subgradient descent on the sphere (normalized direction,
-    step 0.5/sqrt(t)), 20 restarts (one deterministic, the rest from a
-    fixed-seed generator), each followed by exact face minimization.
-    Returns +inf when no feasible point is ever found, in particular when
-    the signed cone meets the null space only at the origin.
+    By 1-homogeneity the ball minimum is min(0, sphere minimum).  A negative
+    sphere minimum is a convex problem over the ball, which
+    :func:`_descent_minimum_exact` solves exactly over an orthonormal
+    null-space basis; when it finds no descending null direction the ball
+    minimum is 0.
     """
     regime = Regime.coerce(regime)
     a = _as_matrix("A", A)
     m, n = a.shape
-    if n > ORACLE_MAX_N:
-        raise ScaleLimitError(f"primal sphere oracle supports n <= {ORACLE_MAX_N}, got n={n}")
     if m >= n:
-        raise ValueError(f"sphere oracle requires m < n, got shape {a.shape}")
+        raise ValueError(f"tau_primal_oracle requires m < n, got shape {a.shape}")
     _check_pattern(pattern, regime, n)
-
     canon = canonicalize(pattern, regime)
     a_canon = canon.apply_matrix(a)
     basis = nullspace_basis(a_canon).basis
-    head_size = canon.head_size
-    dim = basis.shape[1]
-    signed = regime is Regime.SIGNED
-
-    exact = _descent_minimum_exact(a_canon, basis, head_size, regime)
-    if exact is not None:
-        return exact
-
-    rng = np.random.default_rng(_ORACLE_SEED)
-    c_lin = np.ones(n)
-    if regime is Regime.GENERAL:
-        c_lin[:head_size] = 0.0
-        c_lin[head_size:] = -1.0
-    starts = [-(basis.T @ c_lin)]
-    starts += [rng.standard_normal(dim) for _ in range(_ORACLE_RESTARTS - 1)]
-
-    best = math.inf
-    for start in starts:
-        norm = float(np.linalg.norm(start))
-        if norm < 1e-12:
-            start = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(start))
-        v = start / norm
-        if signed:
-            projected = _cone_project(basis, head_size, v)
-            if projected is None:
-                continue
-            v = projected
-
-        # best_v anchors face identification and may come from an iterate
-        # that is only approximately cone-feasible; best_value (the reported
-        # bound) only ever updates from strictly feasible points or from the
-        # exactly feasible face candidates.
-        best_v = v
-        w = basis @ v
-        anchor_value = _objective_canonical(w, head_size, regime)
-        best_value = math.inf
-        if not signed or not head_size or float(w[:head_size].min()) >= -1e-10:
-            best_value = anchor_value
-
-        for t in range(1, _ORACLE_STEPS + 1):
-            w = basis @ v
-            if regime is Regime.GENERAL:
-                g_w = np.concatenate([np.sign(w[:head_size]), -np.ones(n - head_size)])
-            else:
-                g_w = np.ones(n)
-            g = basis.T @ g_w
-            g_tan = g - float(v @ g) * v
-            g_norm = float(np.linalg.norm(g_tan))
-            if g_norm < 1e-14:
-                break
-            v = v - (_ORACLE_STEP_SCALE / math.sqrt(t)) * (g_tan / g_norm)
-            if signed:
-                projected = _cone_project(basis, head_size, v)
-                if projected is None:
-                    break
-                v = projected
-            else:
-                v = v / float(np.linalg.norm(v))
-            w = basis @ v
-            value = _objective_canonical(w, head_size, regime)
-            if value < anchor_value:
-                anchor_value = value
-                best_v = v
-            if value < best_value and (
-                not signed or not head_size or float(w[:head_size].min()) >= -1e-10
-            ):
-                best_value = value
-
-        for _ in range(2):
-            improved = _face_candidates(basis, head_size, regime, best_v, best_value)
-            if improved is None:
-                break
-            best_v, best_value = improved
-        if best_value < best:
-            best = best_value
-    return best
+    value = _descent_minimum_exact(a_canon, basis, canon.head_size, regime)
+    return 0.0 if value is None else min(0.0, value)
 
 
-def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> float:
-    """Independent primal evaluation of tau(A) over the unit ball (n <= 200).
+def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol: float) -> bool:
+    """Strict dual certificate of success, in canonical coordinates.
 
-    By 1-homogeneity the ball minimum is min(0, sphere minimum); the sphere
-    minimum comes from subgradient descent with restarts plus exact face
-    minimization over the null-space parameterization.
+    The pattern is recovered for every vector on it iff the tail columns
+    B_S are injective and some nu has B_S^T nu = tail value with head
+    correlations B_{S^c}^T nu below 1 in absolute value (signed regime:
+    from above).  range(B^T) is a subspace, so the head box shrunk to
+    +-(1 - tol) meets it iff the slice with the tail scaled by 1/(1 - tol)
+    does: the exact slack solve of that slice gives z, then
+    nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = tail value
+    through the Cholesky factor of B_S^T B_S.  Success is decided on that
+    final nu, with margin tol/2 on the head.
     """
-    return min(0.0, _sphere_minimum(A, pattern, regime))
+    b_tail = b[:, head_size:]
+    try:
+        lower = cholesky_spd(b_tail.T @ b_tail)
+    except RankDeficiencyError:
+        return False
+    tail_value = -1.0 if regime is Regime.GENERAL else 1.0
+    projector = RowspaceProjector(b)
+    z = _dual_slack_exact(projector, head_size, regime, tail_value / (1.0 - tol), b.shape[1])
+    if z is None:
+        return False
+    nu = (1.0 - tol) * projector.coefficients(z)
+    nu += b_tail @ cho_solve((lower, True), tail_value - b_tail.T @ nu)
+    head = b[:, :head_size].T @ nu
+    peak = float(np.abs(head).max()) if regime is Regime.GENERAL else float(head.max())
+    return peak <= 1.0 - 0.5 * tol
 
 
 def classify_nsp(
@@ -769,12 +633,13 @@ def classify_nsp(
     """Three-way verdict: certified_failure / certified_success / inconclusive.
 
     failure requires tau < -tol from a converged certificate; success
-    requires |tau| <= tol AND a primal sphere minimum above +tol (tau = 0
-    alone cannot separate strict success from ties); everything else —
-    including a non-converged dual solve — is inconclusive.  A square
-    nonsingular A (m = n, accepted by this operation only) has a trivial
-    null space and is certified success outright.  ``certificate`` may pass
-    a precomputed tau_dual result to avoid re-solving.
+    requires |tau| <= tol AND a strict dual certificate
+    (:func:`_strict_dual_certificate`; tau = 0 alone cannot separate strict
+    success from ties); everything else — including a non-converged dual
+    solve or a non-injective A_S — is inconclusive.  A square nonsingular A
+    (m = n, accepted by this operation only) has a trivial null space and is
+    certified success outright.  ``certificate`` may pass a precomputed
+    tau_dual result to avoid re-solving.
     """
     regime = Regime.coerce(regime)
     a = _as_matrix("A", A)
@@ -782,8 +647,8 @@ def classify_nsp(
     if m > n:
         raise ValueError(f"classify_nsp requires m <= n, got shape {a.shape}")
     _check_pattern(pattern, regime, n)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if m == n:
         cholesky_spd(a @ a.T)  # RankDeficiencyError if singular
         return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=0.0, tolerance=tol)
@@ -792,8 +657,9 @@ def classify_nsp(
     if cert.tau < -tol and cert.converged:
         return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=tol)
     if abs(cert.tau) <= tol:
-        sphere_min = _sphere_minimum(a, pattern, regime)
-        if sphere_min > tol:
+        canon = canonicalize(pattern, regime)
+        b = canon.apply_matrix(a)
+        if _strict_dual_certificate(b, canon.head_size, regime, tol):
             return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=tol)
     return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=tol)
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .cert import SupportPattern, classify_nsp, tau_dual
 from .experiments import PhaseGrid, run_framework, run_phase_grid
-from .linalg import ScaleLimitError
 from .recovery import BPProblem, solve_bp
 from .threshold import EpsilonSet, Regime, alpha_bound, solve_theta
 
@@ -344,13 +343,7 @@ def _cmd_tau(args) -> tuple[int, ReportBundle]:
         raise UsageError(str(exc)) from None
 
     cert = tau_dual(matrix, pattern, regime)
-    try:
-        verdict = classify_nsp(matrix, pattern, regime, certificate=cert).verdict
-    except ScaleLimitError as exc:
-        # The certificate fields stay exact; only the success check needs the
-        # scale-limited sphere oracle.
-        print(f"verdict degraded to inconclusive: {exc}", file=sys.stderr)
-        verdict = "inconclusive"
+    verdict = classify_nsp(matrix, pattern, regime, certificate=cert).verdict
 
     payload = cert.json_payload(verdict)
     json_text = _emit_json(payload)

@@ -15,18 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 __all__ = [
     "RankDeficiencyError",
     "ScaleLimitError",
     "NullBasis",
     "RowspaceProjector",
-    "qr_householder",
     "cholesky_spd",
-    "least_squares",
     "nullspace_basis",
-    "rowspace_projector",
 ]
 
 #: Relative rank tolerance for pivot / diagonal tests (double precision at
@@ -60,25 +57,6 @@ def _as_vector(name: str, v, length: int | None = None) -> np.ndarray:
     return v
 
 
-def qr_householder(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Economy QR via LAPACK Householder reflectors, sign-normalized.
-
-    Returns (Q, R) with Q of shape (rows, min(rows, cols)) having orthonormal
-    columns and R upper triangular with nonnegative diagonal (the sign
-    normalization makes the factorization of e.g. the identity exactly
-    (I, I) and the output deterministic across LAPACK builds).
-    """
-    m = _as_matrix("matrix", matrix)
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must have at least one row and column, got {m.shape}")
-    q, r = np.linalg.qr(m, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
-    return q, r
-
-
 def cholesky_spd(matrix) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -106,22 +84,6 @@ def cholesky_spd(matrix) -> np.ndarray:
             f"pivot {pivots.min():.3e} below relative tolerance {threshold:.3e}"
         )
     return lower
-
-
-def least_squares(matrix, rhs) -> np.ndarray:
-    """Minimizer of ||Bx - c||_2 for a full-column-rank tall matrix, via QR."""
-    b = _as_matrix("matrix", matrix)
-    rows, cols = b.shape
-    if rows < cols:
-        raise ValueError(f"matrix must have rows >= cols, got {b.shape}")
-    c = _as_vector("rhs", rhs, length=rows)
-    if cols == 0:
-        return np.zeros(0)
-    q, r = qr_householder(b)
-    diag = np.abs(np.diag(r))
-    if float(diag.min()) < RANK_RTOL * max(1.0, float(np.linalg.norm(b))):
-        raise RankDeficiencyError("matrix is rank deficient to working tolerance")
-    return solve_triangular(r, q.T @ c, lower=False)
 
 
 @dataclass(frozen=True)
@@ -192,13 +154,18 @@ class RowspaceProjector:
             return np.zeros(self.n)
         return self._a.T @ self.coefficients(u)
 
+    def project_columns(self, u) -> np.ndarray:
+        """Projection of every column of an n x r matrix, from one block solve."""
+        u = _as_matrix("u", u)
+        if u.shape[0] != self.n:
+            raise ValueError(f"u must have {self.n} rows, got shape {u.shape}")
+        if self.m == 0:
+            return np.zeros(u.shape)
+        return self._a.T @ cho_solve((self._lower, True), self._a @ u)
+
     def project_with_coefficients(self, u) -> tuple[np.ndarray, np.ndarray]:
         nu = self.coefficients(u)
         if self.m == 0:
             return np.zeros(self.n), nu
         return self._a.T @ nu, nu
 
-
-def rowspace_projector(matrix) -> RowspaceProjector:
-    """Build the cached projector onto range(A^T); A must be full row rank."""
-    return RowspaceProjector(matrix)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from l1weak import cert as cert_module
 from l1weak.cert import (
     CERTIFIED_FAILURE,
     CERTIFIED_SUCCESS,
     INCONCLUSIVE,
-    ORACLE_MAX_N,
     Regime,
-    ScaleLimitError,
     SupportPattern,
     canonicalize,
     classify_nsp,
@@ -99,8 +99,9 @@ class TestTauHandCases:
 
     def test_tie_instance_is_inconclusive(self):
         # null(A) = span{(1,1)}: swapping the support coordinate onto the
-        # head keeps the l1 norm equal, so tau = 0 but the sphere minimum
-        # is 0 as well — neither verdict can be certified.
+        # head keeps the l1 norm equal, so tau = 0, and the only nu with
+        # A_S^T nu = 1 has |A_head^T nu| = 1, so no strict dual certificate
+        # exists — neither verdict can be certified.
         a = np.array([[1.0, -1.0]])
         pattern = SupportPattern(n=2, support=(0,), signs=(1,))
         cert = tau_dual(a, pattern, Regime.GENERAL)
@@ -307,13 +308,6 @@ class TestCounterexample:
 
 
 class TestScaleLimits:
-    def test_oracle_rejects_large_n(self):
-        n = ORACLE_MAX_N + 1
-        a = np.zeros((2, n))
-        pattern = SupportPattern(n=n, support=(0,), signs=(1,))
-        with pytest.raises(ScaleLimitError):
-            tau_primal_oracle(a, pattern, Regime.GENERAL)
-
     def test_oracle_rejects_m_not_below_n(self):
         a = np.eye(3)
         pattern = SupportPattern(n=3, support=(0,), signs=(1,))
@@ -351,3 +345,81 @@ class TestClassify:
         a, pattern = _random_instance(seed, Regime.GENERAL, n_max=12)
         verdict = classify_nsp(a, pattern, Regime.GENERAL)
         assert verdict.verdict in (CERTIFIED_FAILURE, CERTIFIED_SUCCESS, INCONCLUSIVE)
+
+    def test_rejects_tol_outside_unit_interval(self):
+        a, pattern = _random_instance(57, Regime.GENERAL)
+        for tol in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                classify_nsp(a, pattern, Regime.GENERAL, tol=tol)
+
+
+def _dual_certificate_lp(a, pattern: SupportPattern, regime: Regime) -> float:
+    """t* = min max_{j off S} (|a_j^T nu| or a_j^T nu) s.t. A_S^T nu = s, by HiGHS."""
+    m, n = a.shape
+    support = list(pattern.support)
+    off = [j for j in range(n) if j not in set(support)]
+    a_off = a[:, off].T
+    rows = [np.hstack([a_off, -np.ones((len(off), 1))])]
+    if regime is Regime.GENERAL:
+        rows.append(np.hstack([-a_off, -np.ones((len(off), 1))]))
+    a_ub = np.vstack(rows)
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=np.hstack([a[:, support].T, np.zeros((len(support), 1))]),
+        b_eq=np.asarray(pattern.signs, dtype=float),
+        bounds=(None, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestStrictDualCertificate:
+    def test_success_above_former_size_cap(self):
+        # n = 300 lies above the n <= 200 cap of the former sphere oracle.
+        rng = np.random.default_rng(300)
+        n, m, k = 300, 150, 10
+        a = rng.standard_normal((m, n))
+        support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+        pattern = SupportPattern(n=n, support=support, signs=signs)
+        verdict = classify_nsp(a, pattern, Regime.GENERAL)
+        assert verdict.verdict == CERTIFIED_SUCCESS
+        assert _dual_certificate_lp(a, pattern, Regime.GENERAL) < 1.0
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_repeated_support_column_is_never_success(self, regime):
+        # Columns 0 and 1 coincide, so A_S is not injective: e_0 - e_1 is a
+        # null vector on which the functional vanishes (a tie, tau = 0).
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((7, 8))
+        a[:, 1] = a[:, 0]
+        pattern = SupportPattern(n=8, support=(0, 1), signs=(1, 1))
+        verdict = classify_nsp(a, pattern, regime)
+        assert verdict.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_alternating_projections_fallback(self, monkeypatch, regime):
+        # A tau = 0 instance: alternating projections alone reach the KKT test.
+        a, pattern = _random_instance(2, regime)
+        exact = tau_dual(a, pattern, regime)
+        assert exact.converged and exact.iterations == 0
+        monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
+        fallback = tau_dual(a, pattern, regime)
+        assert fallback.converged and fallback.iterations > 0
+        assert abs(fallback.tau - exact.tau) <= 1e-8
+
+    def test_fallback_tau_on_failure_instance(self, monkeypatch):
+        # On the failure side the distance-change stop leaves a KKT residual
+        # above 1e-8 (converged is False), but tau itself still agrees.
+        a, pattern = _random_instance(33, Regime.GENERAL)
+        exact = tau_dual(a, pattern, Regime.GENERAL)
+        assert exact.converged and exact.tau < -1e-3 and exact.iterations == 0
+        monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
+        fallback = tau_dual(a, pattern, Regime.GENERAL)
+        assert fallback.iterations > 0
+        assert abs(fallback.tau - exact.tau) <= 1e-8

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from l1weak.linalg import (
     RankDeficiencyError,
+    RowspaceProjector,
     cholesky_spd,
-    least_squares,
     nullspace_basis,
-    qr_householder,
-    rowspace_projector,
 )
 
 
@@ -31,27 +29,6 @@ wide_dims = st.tuples(
     st.integers(min_value=2, max_value=12),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-
-
-class TestQR:
-    @given(dims)
-    def test_factorization_properties(self, dims_seed):
-        m, n, seed = dims_seed
-        a = _random_matrix(seed, m, n)
-        q, r = qr_householder(a)
-        k = min(m, n)
-        assert q.shape == (m, k) and r.shape == (k, n)
-        np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-12)
-        assert np.allclose(r, np.triu(r))
-        np.testing.assert_allclose(q @ r, a, atol=1e-12 * max(1.0, abs(a).max()))
-
-    def test_hand_case(self):
-        a = np.array([[3.0, 0.0], [4.0, 5.0]])
-        q, r = qr_householder(a)
-        # First column of A has norm 5; |r11| must be 5 regardless of the
-        # sign convention, and |det R| = |det A| = 15.
-        assert abs(abs(r[0, 0]) - 5.0) <= 1e-14
-        assert abs(abs(r[0, 0] * r[1, 1]) - 15.0) <= 1e-12
 
 
 class TestCholesky:
@@ -77,28 +54,6 @@ class TestCholesky:
     def test_rejects_indefinite(self):
         with pytest.raises(RankDeficiencyError):
             cholesky_spd(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-class TestLeastSquares:
-    @given(dims)
-    def test_matches_normal_equations(self, dims_seed):
-        m, n, seed = dims_seed
-        rows = m + n + 1  # strictly overdetermined, full column rank a.s.
-        a = _random_matrix(seed, rows, n)
-        rhs = _random_matrix(seed + 1, rows, 1).ravel()
-        x = least_squares(a, rhs)
-        # Residual orthogonal to the column space characterizes the minimum.
-        gradient = a.T @ (a @ x - rhs)
-        assert float(np.abs(gradient).max()) <= 1e-10 * max(1.0, float(np.abs(rhs).max()))
-
-    def test_exact_solve(self):
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_allclose(least_squares(a, [2.0, 8.0]), [1.0, 2.0], atol=1e-14)
-
-    def test_rejects_rank_deficient(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        with pytest.raises(RankDeficiencyError):
-            least_squares(a, [1.0, 2.0, 3.0])
 
 
 class TestNullspace:
@@ -131,7 +86,7 @@ class TestRowspaceProjector:
         if m >= n:
             m = max(1, n - 1)
         a = _random_matrix(seed, m, n)
-        proj = rowspace_projector(a)
+        proj = RowspaceProjector(a)
         u = _random_matrix(seed + 7, n, 1).ravel()
         pu = proj(u)
         scale = max(1.0, float(np.abs(u).max()))
@@ -150,22 +105,34 @@ class TestRowspaceProjector:
         if m >= n:
             m = max(1, n - 1)
         a = _random_matrix(seed, m, n)
-        proj = rowspace_projector(a)
+        proj = RowspaceProjector(a)
         u = _random_matrix(seed + 9, n, 1).ravel()
         pu, nu = proj.project_with_coefficients(u)
         assert nu.shape == (m,)
         np.testing.assert_allclose(a.T @ nu, pu, atol=1e-10 * max(1.0, float(np.abs(u).max())))
 
+    @given(wide_dims)
+    def test_project_columns_matches_columnwise(self, dims_seed):
+        m, n, seed = dims_seed
+        if m >= n:
+            m = max(1, n - 1)
+        a = _random_matrix(seed, m, n)
+        proj = RowspaceProjector(a)
+        block = _random_matrix(seed + 10, n, 3)
+        expected = np.column_stack([proj(block[:, j]) for j in range(3)])
+        np.testing.assert_allclose(proj.project_columns(block), expected, atol=1e-12)
+
     def test_empty_matrix_is_zero_map(self):
-        proj = rowspace_projector(np.zeros((0, 3)))
+        proj = RowspaceProjector(np.zeros((0, 3)))
         u = np.array([1.0, -2.0, 3.0])
         np.testing.assert_allclose(proj(u), np.zeros(3), atol=0.0)
         pu, nu = proj.project_with_coefficients(u)
         assert nu.shape == (0,)
+        np.testing.assert_allclose(proj.project_columns(np.ones((3, 2))), np.zeros((3, 2)), atol=0.0)
 
     def test_complementary_to_nullspace(self):
         a = _random_matrix(3, 4, 9)
-        proj = rowspace_projector(a)
+        proj = RowspaceProjector(a)
         nb = nullspace_basis(a)
         u = _random_matrix(11, 9, 1).ravel()
         residual = u - proj(u)
