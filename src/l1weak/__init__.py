@@ -39,14 +39,13 @@ from .experiments import (
     TrialDiagnostics,
     draw_framework_sample,
     estimate_transition,
-    framework_alpha_estimate,
     framework_cw,
     run_framework,
     run_phase_grid,
     run_trial,
     split_stream_seed,
 )
-from .linalg import NullBasis, RankDeficiencyError, ScaleLimitError
+from .linalg import NullBasis, RankDeficiencyError
 from .recovery import (
     BPProblem,
     BPSolution,
@@ -82,7 +81,6 @@ __all__ = [
     # linalg
     "NullBasis",
     "RankDeficiencyError",
-    "ScaleLimitError",
     # threshold
     "Regime",
     "EpsilonSet",
@@ -128,6 +126,5 @@ __all__ = [
     "estimate_transition",
     "draw_framework_sample",
     "framework_cw",
-    "framework_alpha_estimate",
     "run_framework",
 ]

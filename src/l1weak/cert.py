@@ -47,6 +47,8 @@ from scipy.optimize import nnls as _nnls
 from .linalg import (
     RankDeficiencyError,
     RowspaceProjector,
+    _as_matrix,
+    _as_vector,
     cholesky_spd,
     nullspace_basis,
 )
@@ -83,24 +85,6 @@ _KKT_ACTIVITY = 1e-7
 _SIGNED_HEAD_CAP = -1e6
 #: Distance below which no unit witness direction is extracted.
 _WITNESS_MIN_DISTANCE = 1e-9
-
-
-def _as_matrix(name: str, a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_vector(name: str, v, length: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != length:
-        raise ValueError(f"{name} must have length {length}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)

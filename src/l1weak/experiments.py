@@ -10,7 +10,7 @@ tables regardless of thread count, schedule, or evaluation order.
 The harness (:func:`run_phase_grid`) samples Gaussian matrices and sparse
 vectors per grid cell, solves basis pursuit, and tabulates success counts;
 :func:`estimate_transition` locates the empirical 50% crossing.
-:func:`framework_cw` / :func:`framework_alpha_estimate` evaluate, on sorted
+:func:`framework_cw` and :func:`run_framework` evaluate, on sorted
 Gaussian samples, the water-level index c_w and the critical-measurement
 ratio whose large-n limits are the weak-threshold quantities (1 - theta_hat
 and alpha_w respectively); the tests confirm both convergences numerically.
@@ -43,7 +43,6 @@ __all__ = [
     "estimate_transition",
     "draw_framework_sample",
     "framework_cw",
-    "framework_alpha_estimate",
     "run_framework",
 ]
 
@@ -444,24 +443,6 @@ def draw_framework_sample(n: int, k: int, stream: CounterStream) -> FrameworkSam
     return FrameworkSample(g=g, gbar=gbar, c_w=c_w, f_value=math.sqrt(max(inner, 0.0)))
 
 
-def framework_alpha_estimate(n: int, k: int, samples: int, rng) -> float:
-    """Mean of f_value^2 / n over fresh samples; converges to alpha_w(beta).
-
-    ``rng`` is a 64-bit seed; sample i uses the derived stream
-    split(rng, i), so the estimate is reproducible and order-independent.
-    """
-    n, k, samples = int(n), int(k), int(samples)
-    if n < 1000:
-        raise ValueError(f"n must be >= 1000 for meaningful concentration, got {n}")
-    if samples < 10:
-        raise ValueError(f"samples must be >= 10, got {samples}")
-    total = 0.0
-    for i in range(samples):
-        sample = draw_framework_sample(n, k, CounterStream(split_stream_seed(rng, i)))
-        total += sample.f_value**2 / n
-    return total / samples
-
-
 @dataclass(frozen=True)
 class FrameworkResult:
     """Aggregated framework estimates for one (n, beta)."""
@@ -474,7 +455,12 @@ class FrameworkResult:
 
 
 def run_framework(n: int, beta: float, samples: int, seed: int) -> FrameworkResult:
-    """Convenience aggregation: alpha estimate and mean c_w/n from one seed."""
+    """Mean f_value^2 / n (the alpha estimate) and mean c_w/n over samples.
+
+    k = round(beta * n); the alpha estimate converges to alpha_w(beta) and
+    c_w/n to 1 - theta_hat.  Sample i uses the derived stream
+    split(seed, i), so the result is reproducible and order-independent.
+    """
     n, samples = int(n), int(samples)
     beta = float(beta)
     if not 0.0 < beta < 1.0:

@@ -19,7 +19,6 @@ from scipy.linalg import cho_solve
 
 __all__ = [
     "RankDeficiencyError",
-    "ScaleLimitError",
     "NullBasis",
     "RowspaceProjector",
     "cholesky_spd",
@@ -33,10 +32,6 @@ RANK_RTOL = 1e-12
 
 class RankDeficiencyError(ValueError):
     """A factorization met a pivot below the relative rank tolerance."""
-
-
-class ScaleLimitError(ValueError):
-    """An input exceeds the documented dense-scale limit of an operation."""
 
 
 def _as_matrix(name: str, a) -> np.ndarray:

@@ -16,36 +16,32 @@ nonnegative (signed) — and convergence additionally requires the z-iterate's
 own feasibility residual to be small, so the reported solution satisfies the
 feasibility invariant directly rather than through an operator-norm bound.
 
-``simplex_reference`` is the exactness oracle: a dense two-phase tableau
-simplex on the standard split x = t+ - t- (general) or on the nonnegative
-variables directly (signed), with a Dantzig entering rule that falls back
-to Bland's rule under degenerate stalling.  Its vertex solutions make the
-objective exact, which is what the cross-validation tolerances lean on.
+``simplex_reference`` is the exactness oracle: the HiGHS dual simplex
+(``scipy.optimize.linprog(method="highs-ds")``) on the standard split
+x = t+ - t- (general) or on the nonnegative variables directly (signed).
+Its vertex solutions make the objective exact, which is what the
+cross-validation tolerances lean on, and it shares no code with the ADMM.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.optimize import linprog
 
-from .linalg import ScaleLimitError, cholesky_spd
+from .linalg import cholesky_spd
 from .threshold import Regime
 
 __all__ = [
     "BPProblem",
     "BPSolution",
     "InfeasibleError",
-    "SIMPLEX_MAX_N",
     "solve_bp",
     "simplex_reference",
     "check_recovery",
 ]
-
-#: Largest n the dense-tableau simplex oracle accepts.
-SIMPLEX_MAX_N = 120
 
 _ADMM_RHO = 1.0
 _ADMM_RELAX = 1.8
@@ -53,14 +49,10 @@ _ADMM_TOL = 1e-9
 _ADMM_MAX_ITERS = 50_000
 _CUTOFF_CHECK_PERIOD = 64
 _CUTOFF_CONE_TOL = 1e-9
-_PIVOT_EPS = 1e-11
-_REDUCED_COST_EPS = 1e-9
-_SIMPLEX_MAX_PIVOTS = 20_000
-_SIMPLEX_STALL_LIMIT = 50
 
 
 class InfeasibleError(ValueError):
-    """The linear program has no feasible point (phase-1 optimum > 0)."""
+    """The linear program has no feasible point."""
 
 
 @dataclass(frozen=True)
@@ -225,145 +217,35 @@ def _cutoff_certified(
     return float(np.abs(candidate).sum()) < cutoff
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-
-
-def _run_simplex(
-    tableau: np.ndarray,
-    basis: list[int],
-    costs: np.ndarray,
-    allowed: int,
-) -> int:
-    """Simplex to optimality on a dictionary-form tableau.
-
-    Entering rule: most negative reduced cost (Dantzig) while the objective
-    strictly improves; after 50 consecutive pivots without improvement the
-    rule switches to smallest index (Bland), whose finite-termination
-    guarantee walks off the degenerate vertex, and Dantzig resumes once the
-    objective moves again.  Pure Bland needs tens of thousands of pivots on
-    random instances near the size cap, hence the hybrid.  Leaving rule:
-    ratio test with smallest-basis-variable ties, as Bland requires.
-
-    ``allowed`` bounds the entering columns (phase 2 forbids artificials by
-    passing the structural count).  Returns the pivot count.
-    """
-    m = tableau.shape[0]
-    pivots = 0
-    stalled = 0
-    objective = float(costs[basis] @ tableau[:, -1])
-    while True:
-        reduced = costs[:allowed] - costs[basis] @ tableau[:, :allowed]
-        if stalled >= _SIMPLEX_STALL_LIMIT:
-            improving = np.flatnonzero(reduced < -_REDUCED_COST_EPS)
-            entering = int(improving[0]) if improving.size else -1
-        else:
-            entering = int(np.argmin(reduced))
-            if reduced[entering] >= -_REDUCED_COST_EPS:
-                entering = -1
-        if entering < 0:
-            return pivots
-        leaving = -1
-        best_ratio = math.inf
-        for i in range(m):
-            coeff = tableau[i, entering]
-            if coeff > _PIVOT_EPS:
-                ratio = tableau[i, -1] / coeff
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("simplex detected an unbounded direction")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-        pivots += 1
-        new_objective = float(costs[basis] @ tableau[:, -1])
-        if new_objective < objective - 1e-12 * max(1.0, abs(objective)):
-            stalled = 0
-        else:
-            stalled += 1
-        objective = new_objective
-        if pivots > _SIMPLEX_MAX_PIVOTS:
-            raise RuntimeError("simplex exceeded its pivot budget")
-
-
 def simplex_reference(problem: BPProblem) -> BPSolution:
-    """Exact vertex solution of the basis-pursuit LP (n <= 120).
+    """Exact vertex solution of the basis-pursuit LP by the HiGHS dual simplex.
 
     General regime solves min 1^T (t+ + t-) s.t. A(t+ - t-) = y, t± >= 0 and
     returns x = t+ - t-; the signed regime solves min 1^T x, A x = y, x >= 0
-    directly.  Two phases with artificial variables; the entering rule is
-    Dantzig with a Bland fallback under stalling (see ``_run_simplex``), so
-    cycling is impossible and random instances near the size cap stay fast.
+    directly.  ``iterations`` is the simplex iteration count.  Raises
+    :class:`InfeasibleError` when HiGHS proves the LP infeasible and
+    ``RuntimeError`` on any other unsuccessful status.
     """
-    if problem.n > SIMPLEX_MAX_N:
-        raise ScaleLimitError(
-            f"simplex oracle supports n <= {SIMPLEX_MAX_N}, got n={problem.n}"
-        )
     a, y = problem.A, problem.y
-    m, n = problem.m, problem.n
     signed = problem.regime is Regime.SIGNED
-    if signed:
-        columns = a.copy()
-    else:
-        columns = np.hstack([a, -a])
-    n_struct = columns.shape[1]
-
-    # Orient rows so the right-hand side is nonnegative (identity basis for
-    # the artificials).
-    flip = np.where(y < 0.0, -1.0, 1.0)
-    columns = columns * flip[:, np.newaxis]
-    rhs = y * flip
-
-    tableau = np.zeros((m, n_struct + m + 1))
-    tableau[:, :n_struct] = columns
-    tableau[:, n_struct : n_struct + m] = np.eye(m)
-    tableau[:, -1] = rhs
-    basis = list(range(n_struct, n_struct + m))
-
-    phase1_costs = np.zeros(n_struct + m)
-    phase1_costs[n_struct:] = 1.0
-    pivots = _run_simplex(tableau, basis, phase1_costs, allowed=n_struct)
-    phase1_value = float(phase1_costs[basis] @ tableau[:, -1])
-    if phase1_value > 1e-9 * max(1.0, float(np.abs(y).sum())):
-        raise InfeasibleError(
-            f"no feasible point: phase-1 optimum {phase1_value!r} > 0"
-        )
-
-    # Drive any artificial still basic (at value 0) out of the basis.
-    for i in range(m):
-        if basis[i] >= n_struct:
-            for j in range(n_struct):
-                if abs(tableau[i, j]) > 1e-9:
-                    _pivot(tableau, i, j)
-                    basis[i] = j
-                    pivots += 1
-                    break
-
-    phase2_costs = np.zeros(n_struct + m)
-    phase2_costs[:n_struct] = 1.0
-    pivots += _run_simplex(tableau, basis, phase2_costs, allowed=n_struct)
-
-    solution = np.zeros(n_struct)
-    for i, var in enumerate(basis):
-        if var < n_struct:
-            solution[var] = tableau[i, -1]
-    if signed:
-        x = solution
-    else:
-        x = solution[:n] - solution[n:]
-    feas = float(np.linalg.norm(a @ x - y))
+    columns = a if signed else np.hstack([a, -a])
+    result = linprog(
+        np.ones(columns.shape[1]),
+        A_eq=columns,
+        b_eq=y,
+        bounds=(0, None),
+        method="highs-ds",
+    )
+    if result.status == 2:
+        raise InfeasibleError(f"no feasible point: {result.message}")
+    if result.status != 0:
+        raise RuntimeError(f"simplex oracle failed: {result.message}")
+    x = result.x if signed else result.x[: problem.n] - result.x[problem.n :]
     return BPSolution(
         x_hat=x,
         objective=float(np.abs(x).sum()),
-        feas_residual=feas,
-        iterations=pivots,
+        feas_residual=float(np.linalg.norm(a @ x - y)),
+        iterations=int(result.nit),
         converged=True,
     )
 

@@ -2,10 +2,9 @@
 
 Every threshold formula in this package is built from ``erf``/``erfinv``, so
 these are kept scalar, explicit about their domains, and accurate to near
-machine precision.  ``erf`` defers to the C library (correctly rounded);
-``erfinv`` starts from a rational approximation of the normal quantile and
-polishes the result with Newton steps on ``erf`` itself, using the analytic
-derivative 2/sqrt(pi) * exp(-y^2).
+machine precision.  ``erf`` defers to the C library (correctly rounded) and
+``erfinv`` to ``scipy.special.erfinv``; this module adds only the domain
+contracts.
 
 Domain endpoints raise :class:`DomainError` instead of saturating: the root
 solvers upstream rely on hard failures to detect degenerate brackets, and a
@@ -15,6 +14,8 @@ silently clamped quantile would mask exactly the bugs they need to see.
 from __future__ import annotations
 
 import math
+
+from scipy import special
 
 __all__ = [
     "DomainError",
@@ -26,9 +27,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_EXP_NEG2 = 0.13533528323661269189
 
 
 class DomainError(ValueError):
@@ -47,124 +45,12 @@ def erf(x: float) -> float:
     return math.erf(_require_finite("erf", x))
 
 
-# Rational approximation of the standard normal quantile (cephes ``ndtri``
-# coefficients, public domain).  Used only to seed Newton refinement.
-
-_P0 = (
-    -5.99633501014107895267e1,
-    9.80010754185999661536e1,
-    -5.66762857469070293439e1,
-    1.39312609387279679503e1,
-    -1.23916583867381258016e0,
-)
-_Q0 = (
-    1.95448858338141759834e0,
-    4.67627912898881538453e0,
-    8.63602421390890590575e1,
-    -2.25462687854119370527e2,
-    2.00260212380060660359e2,
-    -8.20372256168333339912e1,
-    1.59056225126211695515e1,
-    -1.18331621121330003142e0,
-)
-_P1 = (
-    4.05544892305962419923e0,
-    3.15251094599893866154e1,
-    5.71628192246421288162e1,
-    4.40805073893200834700e1,
-    1.46849561928858024014e1,
-    2.18663306850790267539e0,
-    -1.40256079171354495875e-1,
-    -3.50424626827848203418e-2,
-    -8.57456785154685413611e-4,
-)
-_Q1 = (
-    1.57799883256466749731e1,
-    4.53907635128879210584e1,
-    4.13172038254672030440e1,
-    1.50425385692907503408e1,
-    2.50464946208309415979e0,
-    -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2,
-    -9.33259480895457427372e-4,
-)
-_P2 = (
-    3.23774891776946035970e0,
-    6.91522889068984211695e0,
-    3.93881025292474443415e0,
-    1.33303460815807542389e0,
-    2.01485389549179081538e-1,
-    1.23716634817820021358e-2,
-    3.01581553508235416007e-4,
-    2.65806974686737550832e-6,
-    6.23974539184983293730e-9,
-)
-_Q2 = (
-    6.02427039364742014255e0,
-    3.67983563856160859403e0,
-    1.37702099489081330271e0,
-    2.16236993594496635890e-1,
-    1.34204006088543189037e-2,
-    3.28014464682127739104e-4,
-    2.89247864745380683936e-6,
-    6.79019408009981274425e-9,
-)
-
-
-def _polevl(x: float, coefs) -> float:
-    result = coefs[0]
-    for c in coefs[1:]:
-        result = result * x + c
-    return result
-
-
-def _p1evl(x: float, coefs) -> float:
-    # Same as _polevl with an implicit leading coefficient of 1.
-    result = x + coefs[0]
-    for c in coefs[1:]:
-        result = result * x + c
-    return result
-
-
-def _ndtri(y: float) -> float:
-    """Rational approximation of the standard normal quantile on (0, 1)."""
-    negate = False
-    if y > 1.0 - _EXP_NEG2:
-        y = 1.0 - y
-        negate = True
-    if y > _EXP_NEG2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
-        x *= _SQRT_2PI
-        return -x if negate else x
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
-    x = x0 - x1
-    return x if negate else -x
-
-
 def erfinv(p: float) -> float:
-    """Inverse error function: y with erf(y) = p to within 1e-13 absolute in p.
-
-    Rational initial guess (normal-quantile approximation) refined by three
-    Newton steps on ``erf``; the derivative never underflows on the open
-    domain because |y| stays below ~6 for representable p.
-    """
+    """Inverse error function on the open interval -1 < p < 1 (SciPy's)."""
     p = _require_finite("erfinv", p)
     if abs(p) >= 1.0:
         raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
-    if p == 0.0:
-        return 0.0
-    y = _ndtri((p + 1.0) / 2.0) / _SQRT2
-    for _ in range(3):
-        y -= (math.erf(y) - p) / (_TWO_OVER_SQRT_PI * math.exp(-y * y))
-    return y
+    return float(special.erfinv(p))
 
 
 def std_normal_cdf(x: float) -> float:

@@ -23,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass, fields
 
+from scipy.optimize import brentq
+
 from .specfn import DomainError, erfinv
 
 __all__ = [
@@ -43,9 +45,8 @@ _SQRT_1_OVER_2PI = math.sqrt(1.0 / (2.0 * math.pi))
 
 #: Offset keeping brackets strictly inside the open domain.
 _BRACKET_DELTA = 1e-9
-#: Residual magnitude the root solver guarantees (public contract 1e-11;
-#: the solver aims one decade lower).
-_ROOT_TARGET = 1e-12
+#: Uniform grid on which solve_theta looks for the first sign change.
+_SCAN_POINTS = 64
 
 
 class BracketError(RuntimeError):
@@ -222,8 +223,9 @@ def solve_theta(
 ) -> float:
     """Root theta_hat in (beta, 1) of the characterization residual.
 
-    Scans the domain (64 points, refined to 1024 if needed) for the first
-    sign change, then bisects it down to |residual| <= 1e-11.  Bisection
+    Scans the domain on 64 points for the first sign change, then runs
+    Brent's method (``scipy.optimize.brentq``) on that bracket to machine
+    precision in theta and checks |residual| <= 1e-11.  A bracketing method
     rather than Newton: the residual is smooth but not provably monotone,
     and a verified sign-changing bracket is unconditionally safe.
     """
@@ -236,47 +238,33 @@ def solve_theta(
     def residual(theta: float) -> float:
         return char_residual(regime, theta, beta, eps.eps1_c, eps.eps2_c, side)
 
-    bracket = _first_sign_change(residual, lo, hi, points=64)
-    if bracket is None:
-        bracket = _first_sign_change(residual, lo, hi, points=1024)
+    bracket = _first_sign_change(residual, lo, hi)
     if bracket is None:
         raise BracketError(
             f"no sign change of the {regime.value} {side} characterization on "
             f"({lo!r}, {hi!r}) for beta={beta!r}"
         )
-
-    (a, fa), (b, fb) = bracket
-    for _ in range(300):
-        mid = 0.5 * (a + b)
-        fm = residual(mid)
-        if abs(fm) <= _ROOT_TARGET:
-            return mid
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if b - a <= 1e-16 * max(1.0, abs(a)):
-            break
-    mid = 0.5 * (a + b)
-    if abs(residual(mid)) > 1e-11:
+    theta = brentq(residual, *bracket, xtol=1e-16)
+    final = residual(theta)
+    if abs(final) > 1e-11:
         raise BracketError(
-            f"bisection stalled with residual {residual(mid)!r} at theta={mid!r}"
+            f"root solve stalled with residual {final!r} at theta={theta!r}"
         )
-    return mid
+    return theta
 
 
-def _first_sign_change(residual, lo: float, hi: float, points: int):
-    """First adjacent pair with a sign change on a uniform grid, else None."""
+def _first_sign_change(residual, lo: float, hi: float):
+    """First adjacent pair (a, b) with a sign change on a 64-point grid, else None."""
     prev_t = lo
     prev_f = residual(lo)
     if prev_f == 0.0:
-        return (lo, -1.0), (lo, 1.0)
-    step = (hi - lo) / (points - 1)
-    for i in range(1, points):
+        return lo, lo
+    step = (hi - lo) / (_SCAN_POINTS - 1)
+    for i in range(1, _SCAN_POINTS):
         t = lo + i * step
         f = residual(t)
         if f == 0.0 or (prev_f < 0.0) != (f < 0.0):
-            return (prev_t, prev_f), (t, f)
+            return prev_t, t
         prev_t, prev_f = t, f
     return None
 

@@ -17,7 +17,6 @@ from l1weak.experiments import (
     TrialDiagnostics,
     draw_framework_sample,
     estimate_transition,
-    framework_alpha_estimate,
     framework_cw,
     run_framework,
     run_phase_grid,
@@ -333,7 +332,7 @@ class TestFramework:
         assert 0 <= sample.c_w <= 39
 
     def test_estimate_approaches_threshold(self):
-        est = framework_alpha_estimate(1000, 300, 12, 2024)
+        est = run_framework(1000, 0.3, 12, 2024).alpha_estimate
         target = solve_theta(Regime.GENERAL, 0.3)
         assert abs(est - target) <= 0.03
 
@@ -346,14 +345,14 @@ class TestFramework:
         assert abs(res.cw_over_n - (1.0 - target)) <= 0.03
 
     def test_estimate_is_deterministic(self):
-        a = framework_alpha_estimate(1000, 100, 10, 5)
-        b = framework_alpha_estimate(1000, 100, 10, 5)
+        a = run_framework(1000, 0.1, 10, 5)
+        b = run_framework(1000, 0.1, 10, 5)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            framework_alpha_estimate(500, 100, 10, 5)  # n too small
+            run_framework(500, 0.1, 10, 5)  # n too small
         with pytest.raises(ValueError):
-            framework_alpha_estimate(1000, 100, 5, 5)  # too few samples
+            run_framework(1000, 0.1, 5, 5)  # too few samples
         with pytest.raises(ValueError):
             run_framework(2000, 1.2, 10, 5)  # beta out of range

@@ -1,4 +1,4 @@
-"""Unit tests for the basis-pursuit solvers (operator splitting + simplex)."""
+"""Unit tests for the basis-pursuit solvers (operator splitting + HiGHS simplex)."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from l1weak.recovery import (
     BPProblem,
     InfeasibleError,
     Regime,
-    ScaleLimitError,
-    SIMPLEX_MAX_N,
     check_recovery,
     simplex_reference,
     solve_bp,
@@ -119,17 +117,23 @@ class TestSimplexReference:
         with pytest.raises(InfeasibleError):
             simplex_reference(BPProblem(A=a, y=y, regime=Regime.SIGNED))
 
-    def test_rejects_oversize(self):
-        n = SIMPLEX_MAX_N + 1
-        with pytest.raises(ScaleLimitError):
-            simplex_reference(BPProblem(A=np.zeros((1, n)), y=np.zeros(1)))
-
     def test_negative_rhs_rows_handled(self):
         # Row orientation must not change the optimum.
         a = np.array([[2.0, 1.0]])
         plus = simplex_reference(BPProblem(A=a, y=np.array([2.0])))
         minus = simplex_reference(BPProblem(A=a, y=np.array([-2.0])))
         np.testing.assert_allclose(minus.x_hat, -plus.x_hat, atol=1e-12)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_agrees_above_former_size_cap(self, regime):
+        # n = 200: the HiGHS oracle has no size cap.
+        a, x0, y = _sparse_instance(31, 200, 120, 20, regime)
+        problem = BPProblem(A=a, y=y, regime=regime)
+        admm = solve_bp(problem)
+        exact = simplex_reference(problem)
+        assert admm.converged and exact.converged
+        assert abs(admm.objective - exact.objective) <= 1e-6
+        np.testing.assert_allclose(exact.x_hat, x0, rtol=0.0, atol=1e-8)
 
 
 class TestCheckRecovery:
