@@ -74,8 +74,9 @@ def main(argv=None) -> int:
             located = f"empirical={estimate:.4f} delta={estimate - target:+.4f}"
         except ValueError as exc:
             located = f"no crossing ({exc})"
+        routes = ", ".join(f"{name} {count}" for name, count in diagnostics.routes().items())
         print(f"beta={beta:.3f}: alpha_w={target:.4f} {located} "
-              f"(solver cap-outs: {diagnostics.solver_nonconverged})")
+              f"(routes: {routes})")
         for cell in cells:
             rows.append([cell.alpha, cell.beta, cell.m, cell.k,
                          cell.trials, cell.successes, cell.rate])

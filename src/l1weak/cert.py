@@ -588,9 +588,10 @@ def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol:
     does: the exact slack solve of that slice gives z, then
     nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = tail value
     through the Cholesky factor of B_S^T B_S.  Success is decided on that
-    final nu, with margin tol/2 on the head.
+    final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`.
     """
-    b_tail = b[:, head_size:]
+    tail = slice(head_size, None)
+    b_tail = b[:, tail]
     try:
         lower = cholesky_spd(b_tail.T @ b_tail)
     except RankDeficiencyError:
@@ -601,10 +602,36 @@ def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol:
     if z is None:
         return False
     nu = (1.0 - tol) * projector.coefficients(z)
-    nu += b_tail @ cho_solve((lower, True), tail_value - b_tail.T @ nu)
-    head = b[:, :head_size].T @ nu
-    peak = float(np.abs(head).max()) if regime is Regime.GENERAL else float(head.max())
-    return peak <= 1.0 - 0.5 * tol
+    signed = regime is Regime.SIGNED
+    return _dual_certificate_holds(b, tail, lower, nu, tail_value, signed, 1.0 - 0.5 * tol)
+
+
+def _dual_certificate_holds(
+    a: np.ndarray,
+    support,
+    lower: np.ndarray,
+    nu: np.ndarray,
+    target,
+    signed: bool,
+    bound: float,
+) -> bool:
+    """Correct ``nu`` onto A_S^T nu = target, then test the off-support peak.
+
+    ``support`` indexes the columns of S (an index array or a slice) and
+    ``lower`` is the Cholesky factor of A_S^T A_S.  The correction adds
+    A_S (A_S^T A_S)^{-1} (target - A_S^T nu), the least-norm change that
+    meets the support equations.  The certificate holds when every
+    off-support correlation a_j^T nu is at most ``bound`` in absolute value
+    (signed regime: from above).  This is the one place the strict dual
+    certificate test lives: :func:`_strict_dual_certificate` and the
+    planted-vector stop of ``recovery.solve_bp`` both call it.
+    """
+    a_support = a[:, support]
+    nu = nu + a_support @ cho_solve((lower, True), target - a_support.T @ nu)
+    correlations = a.T @ nu
+    correlations[support] = 0.0
+    peak = float(correlations.max()) if signed else float(np.abs(correlations).max())
+    return peak <= bound
 
 
 def classify_nsp(

@@ -419,6 +419,11 @@ def _cmd_phase(args) -> tuple[int, ReportBundle]:
                     "trials": c.trials,
                     "successes": c.successes,
                     "rate": c.rate,
+                    "routes": c.diagnostics.routes(),
+                    "solver_iterations": {
+                        "total": c.diagnostics.iterations,
+                        "max": c.diagnostics.max_iterations,
+                    },
                 }
                 for c in cells
             ],

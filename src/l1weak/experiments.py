@@ -21,12 +21,14 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .recovery import _ADMM_MAX_ITERS, BPProblem, check_recovery, solve_bp
+from .cert import CERTIFIED_SUCCESS, INCONCLUSIVE, SupportPattern, classify_nsp
+# check_recovery is unused here but stays bound: perfbench's tracer wraps it by this name.
+from .recovery import BPProblem, check_recovery, solve_bp  # noqa: F401
 from .threshold import Regime
 
 __all__ = [
@@ -154,17 +156,50 @@ class CounterStream:
 
 @dataclass
 class TrialDiagnostics:
-    """Counters a trial loop increments; purely informational.
+    """How trials were decided: per-route counts and solver iterations.
 
-    ``solver_nonconverged`` counts solves that exhausted the 50,000-iteration
-    cap.  Solves stopped early by the objective cutoff are not counted: their
-    failure is certified by a feasible point below the cutoff.
+    Every trial is decided by one route.  ``dual``: a strict dual
+    certificate built from the solver's iterate proves that x0 is the unique
+    l1 minimizer (success).  ``cut``: a feasible point strictly below
+    ||x0||_1 proves it is not (failure).  ``exact``: neither came within the
+    solver's budget and ``classify_nsp`` certified the verdict.  ``tie``:
+    ``classify_nsp`` was inconclusive, and the trial counts as a failure.
+    ``solver_nonconverged`` counts the tie-route trials, the only outcomes
+    that rest on no witness; ``tie`` reads the same counter.
+    ``iterations`` sums the solver iterations of all trials and
+    ``max_iterations`` is the most any one trial used.  All counts are
+    deterministic for a seed.
     """
 
     solver_nonconverged: int = 0
+    dual: int = 0
+    cut: int = 0
+    exact: int = 0
+    iterations: int = 0
+    max_iterations: int = 0
+
+    @property
+    def tie(self) -> int:
+        return self.solver_nonconverged
+
+    def routes(self) -> dict[str, int]:
+        return {"dual": self.dual, "cut": self.cut, "exact": self.exact, "tie": self.tie}
+
+    def record(self, route: str, iterations: int) -> None:
+        if route == "tie":
+            self.solver_nonconverged += 1
+        else:
+            setattr(self, route, getattr(self, route) + 1)
+        self.iterations += iterations
+        self.max_iterations = max(self.max_iterations, iterations)
 
     def merge(self, other: "TrialDiagnostics") -> None:
         self.solver_nonconverged += other.solver_nonconverged
+        self.dual += other.dual
+        self.cut += other.cut
+        self.exact += other.exact
+        self.iterations += other.iterations
+        self.max_iterations = max(self.max_iterations, other.max_iterations)
 
 
 def run_trial(
@@ -181,17 +216,8 @@ def run_trial(
     result): (1) the m*n matrix entries, row-major; (2) the support draw;
     (3) the sign draws (general regime only).  The planted vector has unit
     magnitudes — recovery success depends only on the pattern, and fixed
-    magnitudes maximize reproducibility.  A solver that fails to converge
-    counts as a failed trial; only a solve that exhausts the 50,000-iteration
-    cap bumps the diagnostics counter, a cutoff-stopped solve does not.
-
-    The solver is armed with an objective cutoff strictly dominating the
-    tolerance band of ``check_recovery``: any point within the acceptance
-    band has l1 norm at least ||x0||_1 - n*1e-4, so an optimum certified
-    below ||x0||_1 - max(0.05, 2e-4*n) already forces a failed comparison
-    and the trial can skip the remaining solver iterations.  Trial outcomes
-    are therefore identical with and without the cutoff; only the time spent
-    on clearly failing instances changes.
+    magnitudes maximize reproducibility.  The outcome rests on a witness,
+    never on an iteration cap: see :func:`_witnessed_outcome`.
     """
     regime = Regime.coerce(regime)
     if not 1 <= k < m < n:
@@ -204,13 +230,36 @@ def run_trial(
         signs = (1,) * k
     x0 = np.zeros(n)
     x0[list(support)] = np.array(signs, dtype=float)
-    y = a @ x0
-    cutoff = float(np.abs(x0).sum()) - max(0.05, 2e-4 * n)
-    solution = solve_bp(BPProblem(A=a, y=y, regime=regime), objective_cutoff=cutoff)
-    if not solution.converged and diagnostics is not None:
-        if solution.iterations >= _ADMM_MAX_ITERS:
-            diagnostics.solver_nonconverged += 1
-    return check_recovery(x0, solution)
+    return _witnessed_outcome(a, x0, regime, diagnostics)
+
+
+def _witnessed_outcome(
+    a: np.ndarray, x0: np.ndarray, regime: Regime, diagnostics: TrialDiagnostics | None
+) -> bool:
+    """True iff x0 is the unique l1 minimizer for y = A x0, decided by a witness.
+
+    ``solve_bp`` with the planted x0 stops on a strict dual certificate
+    (success) or on a feasible point strictly below ||x0||_1 (failure).  A
+    solve that reaches neither within its budget is decided by
+    ``classify_nsp`` on x0's support/sign pattern: a certified verdict
+    decides the trial, and an inconclusive one (a tie) counts as a failure.
+    The route and the solver iterations go to ``diagnostics``.
+    """
+    solution = solve_bp(BPProblem(A=a, y=a @ x0, regime=regime), planted=x0)
+    if solution.route == "undecided":
+        support = np.flatnonzero(x0)
+        pattern = SupportPattern(
+            n=x0.size, support=tuple(support), signs=tuple(np.sign(x0[support]))
+        )
+        verdict = classify_nsp(a, pattern, regime).verdict
+        recovered = verdict == CERTIFIED_SUCCESS
+        route = "tie" if verdict == INCONCLUSIVE else "exact"
+    else:
+        recovered = solution.route == "dual"
+        route = solution.route
+    if diagnostics is not None:
+        diagnostics.record(route, solution.iterations)
+    return recovered
 
 
 def _round_half_up(x: float) -> int:
@@ -256,7 +305,7 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class PhaseCell:
-    """Trial tally for one grid cell."""
+    """Trial tally for one grid cell, with how its trials were decided."""
 
     alpha: float
     beta: float
@@ -264,6 +313,7 @@ class PhaseCell:
     k: int
     trials: int
     successes: int
+    diagnostics: TrialDiagnostics = field(default_factory=TrialDiagnostics)
 
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.m:
@@ -308,15 +358,15 @@ def _run_cell(grid: PhaseGrid, task: tuple[int, float, float, int, int]):
         stream = CounterStream(split_stream_seed(grid.seed, cell_index, trial))
         if run_trial(grid.n, m, k, grid.regime, stream, diagnostics):
             successes += 1
-    cell = PhaseCell(
+    return PhaseCell(
         alpha=alpha,
         beta=beta,
         m=m,
         k=k,
         trials=grid.trials_per_cell,
         successes=successes,
+        diagnostics=diagnostics,
     )
-    return cell, diagnostics
 
 
 def run_phase_grid(
@@ -329,25 +379,24 @@ def run_phase_grid(
     threads=1 runs inline, threads=0 uses every core, threads=N uses a pool
     of N processes.  Cell results are identical in all cases: each trial's
     stream is derived from (seed, cell index, trial index) alone, and the
-    pool map preserves task order.
+    pool map preserves task order.  Each cell carries the diagnostics of its
+    own trials; ``diagnostics`` also receives their sum.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     tasks = _cell_tasks(grid)
     worker = functools.partial(_run_cell, grid)
     if threads == 1 or not tasks:
-        results = [worker(task) for task in tasks]
+        cells = [worker(task) for task in tasks]
     else:
         import multiprocessing
 
         processes = None if threads == 0 else threads
         with multiprocessing.Pool(processes) as pool:
-            results = pool.map(worker, tasks)
-    cells = []
-    for cell, cell_diag in results:
-        cells.append(cell)
-        if diagnostics is not None:
-            diagnostics.merge(cell_diag)
+            cells = pool.map(worker, tasks)
+    if diagnostics is not None:
+        for cell in cells:
+            diagnostics.merge(cell.diagnostics)
     return cells
 
 

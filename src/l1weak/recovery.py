@@ -16,6 +16,14 @@ nonnegative (signed) — and convergence additionally requires the z-iterate's
 own feasibility residual to be small, so the reported solution satisfies the
 feasibility invariant directly rather than through an operator-norm bound.
 
+Given the planted vector x0 of a Monte Carlo trial, ``solve_bp`` instead
+stops on a witness.  ADMM's own scaled dual makes rho * u a subgradient of
+the objective at z after every z-step; projected onto range(A^T) and
+corrected onto the support equations it is a strict dual certificate
+(Fuchs 2004) that x0 is the unique optimum.  A feasible point strictly
+below ||x0||_1 proves the opposite.  A solve that finds neither within a
+fixed budget returns undecided, and the caller decides exactly.
+
 ``simplex_reference`` is the exactness oracle: the HiGHS dual simplex
 (``scipy.optimize.linprog(method="highs-ds")``) on the standard split
 x = t+ - t- (general) or on the nonnegative variables directly (signed).
@@ -31,7 +39,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
-from .linalg import cholesky_spd
+from .cert import _dual_certificate_holds
+from .linalg import RankDeficiencyError, cholesky_spd
 from .threshold import Regime
 
 __all__ = [
@@ -47,7 +56,15 @@ _ADMM_RHO = 1.0
 _ADMM_RELAX = 1.8
 _ADMM_TOL = 1e-9
 _ADMM_MAX_ITERS = 50_000
+#: Iteration budget of a solve given the planted vector; past it the caller
+#: decides the trial exactly.
+_PLANTED_BUDGET = 2_048
+_DUAL_CHECK_PERIOD = 8
+#: A dual certificate needs every off-support correlation <= 1 - this margin.
+_DUAL_MARGIN = 5e-7
 _CUTOFF_CHECK_PERIOD = 64
+#: Round-off margin of the primal cut below ||x0||_1.
+_CUTOFF_MARGIN = 1e-6
 _CUTOFF_CONE_TOL = 1e-9
 
 
@@ -94,18 +111,24 @@ class BPProblem:
 
 @dataclass(frozen=True)
 class BPSolution:
-    """Solver output: recovered vector, objective, feasibility, iteration stats."""
+    """Solver output: recovered vector, objective, feasibility, iteration stats.
+
+    ``converged`` means the residual test passed.  ``route`` says why the
+    solve stopped: "converged" or "capped" (the 50,000-iteration cap)
+    without a planted vector; "dual" (x0 certified optimal), "cut" (a
+    feasible point strictly below ||x0||_1) or "undecided" with one; None
+    from the exact LP oracle.
+    """
 
     x_hat: np.ndarray
     objective: float
     feas_residual: float
     iterations: int
     converged: bool
+    route: str | None = None
 
 
-def solve_bp(
-    problem: BPProblem, objective_cutoff: float | None = None
-) -> BPSolution:
+def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolution:
     """Operator-splitting solution of the basis-pursuit problem.
 
     Stops when the primal residual ||x - z||, the dual residual
@@ -118,16 +141,25 @@ def solve_bp(
     factor of A A^T, W = L^{-1} A and c = L^{-1} y, the projection of v is
     v - W^T (W v - c), two matrix-vector products per iteration.
 
-    ``objective_cutoff`` arms an early stop for callers that only need to
-    know whether the optimum lies below a threshold: every 64 iterations the
-    solver builds a feasible candidate from the current sparsity pattern
-    (see ``_cutoff_certified``), and once one lands strictly below the
-    cutoff it returns immediately with converged=False — the optimum can
-    only be lower, so further polishing cannot change a decision keyed to
-    the cutoff.  The candidate depends on the support alone, so a check
-    whose support equals the previous check's is skipped: it could only
-    repeat that check's negative answer.  The default None leaves the
-    iteration untouched.
+    ``planted`` (a vector x0 with A x0 = y) makes the solve decide whether
+    basis pursuit returns x0, on the same iterates:
+
+    - every 8 iterations and at convergence, if supp(z) is supp(x0) with
+      its signs, rho * u (a subgradient of the objective at z) gives
+      nu = L^{-T} W (rho u), which is corrected onto A_S^T nu = sign(x0_S)
+      through the Cholesky factor of A_S^T A_S; every off-support
+      correlation at most 1 - 5e-7 (signed regime: from above) is a strict
+      dual certificate that x0 is the unique optimum (route "dual");
+    - every 64 iterations and at convergence, a feasible candidate built
+      from the current support (see ``_cutoff_certified``) with objective
+      below ||x0||_1 - 1e-6 proves that x0 is not optimal (route "cut");
+      a check whose support equals the previous check's is skipped, since
+      the candidate depends on the support alone;
+    - at convergence without either witness, or after a budget of 2,048
+      iterations, the route is "undecided".
+
+    A rank-deficient A_S is never certified.  The default None leaves the
+    iteration, its stop rule and its cap untouched.
     """
     a, y = problem.A, problem.y
     n = problem.n
@@ -137,6 +169,20 @@ def solve_bp(
 
     inv_rho = 1.0 / _ADMM_RHO
     signed = problem.regime is Regime.SIGNED
+    max_iters = _ADMM_MAX_ITERS
+    if planted is not None:
+        planted = np.asarray(planted, dtype=float).ravel()
+        if planted.size != n:
+            raise ValueError(f"planted must have length {n}, got {planted.size}")
+        max_iters = _PLANTED_BUDGET
+        support = np.flatnonzero(planted)
+        signs = np.sign(planted[support])
+        cutoff = float(np.abs(planted).sum()) - _CUTOFF_MARGIN
+        a_support = a[:, support]
+        try:
+            support_lower = cholesky_spd(a_support.T @ a_support)
+        except RankDeficiencyError:
+            support_lower = None
     z = np.zeros(n)
     u = np.zeros(n)
     tol_sq = _ADMM_TOL * _ADMM_TOL
@@ -145,7 +191,8 @@ def solve_bp(
     checked_support = np.empty(0, dtype=np.intp)
     iterations = 0
     converged = False
-    for iterations in range(1, _ADMM_MAX_ITERS + 1):
+    route = None
+    for iterations in range(1, max_iters + 1):
         v = z - u
         x = v - w.T @ (w @ v - c)
         x_relaxed = _ADMM_RELAX * x + (1.0 - _ADMM_RELAX) * z
@@ -165,16 +212,38 @@ def solve_bp(
             and _ADMM_RHO * _ADMM_RHO * float(dual @ dual) <= scale_sq
         ):
             residual = a @ z - y
-            if float(residual @ residual) <= feas_tol_sq:
-                converged = True
+            converged = float(residual @ residual) <= feas_tol_sq
+        if planted is None:
+            if converged:
                 break
-        if objective_cutoff is not None and iterations % _CUTOFF_CHECK_PERIOD == 0:
-            support = np.flatnonzero(z)
-            if not np.array_equal(support, checked_support):
-                checked_support = support
-                if _cutoff_certified(a, y, w, c, support, signed, objective_cutoff):
+            continue
+        if (
+            (converged or iterations % _DUAL_CHECK_PERIOD == 0)
+            and support_lower is not None
+            and np.count_nonzero(z) == support.size
+            and np.all(z[support] * signs > 0.0)
+        ):
+            nu = solve_triangular(lower, w @ (_ADMM_RHO * u), lower=True, trans="T")
+            if _dual_certificate_holds(
+                a, support, support_lower, nu, signs, signed, 1.0 - _DUAL_MARGIN
+            ):
+                route = "dual"
+                break
+        if converged or iterations % _CUTOFF_CHECK_PERIOD == 0:
+            current = np.flatnonzero(z)
+            if not np.array_equal(current, checked_support):
+                checked_support = current
+                if _cutoff_certified(a, y, w, c, current, signed, cutoff):
+                    route = "cut"
                     break
+        if converged:
+            break
 
+    if route is None:
+        if planted is not None:
+            route = "undecided"
+        else:
+            route = "converged" if converged else "capped"
     feas = float(np.linalg.norm(a @ z - y))
     return BPSolution(
         x_hat=z,
@@ -182,6 +251,7 @@ def solve_bp(
         feas_residual=feas,
         iterations=iterations,
         converged=converged,
+        route=route,
     )
 
 

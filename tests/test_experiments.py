@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1weak.cert import _dual_certificate_holds
 from l1weak.experiments import (
     CounterStream,
     FrameworkSample,
@@ -15,6 +16,7 @@ from l1weak.experiments import (
     PhaseGrid,
     Regime,
     TrialDiagnostics,
+    _witnessed_outcome,
     draw_framework_sample,
     estimate_transition,
     framework_cw,
@@ -170,6 +172,59 @@ class TestRunTrial:
         assert not run_trial(40, 5, 4, Regime.GENERAL, CounterStream(6))
 
 
+class TestWitnessedTrial:
+    """Trial decisions rest on a witness: dual certificate, primal cut or cert verdict."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_exhausted_budget_decides_exactly(self, monkeypatch, regime):
+        from l1weak import recovery
+        from l1weak.recovery import BPProblem, simplex_reference
+
+        monkeypatch.setattr(recovery, "_PLANTED_BUDGET", 1)
+        n, m = 40, 20
+        k = 8 if regime is Regime.GENERAL else 10
+        outcomes = []
+        for seed in range(6):
+            mirror = CounterStream(seed)
+            a = mirror.normals(m * n).reshape(m, n)
+            support = mirror.choose_support(n, k)
+            signs = mirror.sign_draws(k) if regime is Regime.GENERAL else (1,) * k
+            x0 = np.zeros(n)
+            x0[list(support)] = signs
+            exact = simplex_reference(BPProblem(A=a, y=a @ x0, regime=regime))
+            want = bool(np.allclose(exact.x_hat, x0, rtol=0.0, atol=1e-8))
+            diagnostics = TrialDiagnostics()
+            assert run_trial(n, m, k, regime, CounterStream(seed), diagnostics) == want
+            assert diagnostics.routes() == {"dual": 0, "cut": 0, "exact": 1, "tie": 0}
+            assert diagnostics.iterations == 1
+            outcomes.append(want)
+        assert True in outcomes and False in outcomes
+
+    def test_tie_counts_as_failure(self):
+        # The tie instance of tests/test_cert.py: null(A) = span{(1, 1)}, so
+        # every point of the segment from (1, 0) to (0, -1) is optimal, and
+        # no strict dual certificate exists for x0 = (1, 0).
+        diagnostics = TrialDiagnostics()
+        a = np.array([[1.0, -1.0]])
+        assert not _witnessed_outcome(a, np.array([1.0, 0.0]), Regime.GENERAL, diagnostics)
+        assert diagnostics.routes() == {"dual": 0, "cut": 0, "exact": 0, "tie": 1}
+        assert diagnostics.solver_nonconverged == 1
+
+    @pytest.mark.parametrize("support", [np.array([0]), slice(0, 1)], ids=["indices", "slice"])
+    def test_dual_certificate_helper(self, support):
+        # Column 0 is the support.  Correcting nu = (5, 0.2) onto a_0^T nu = 1
+        # gives (1, 0.2): off-support correlations 0.2 and -3.
+        a = np.array([[1.0, 0.0, -3.0], [0.0, 1.0, 0.0]])
+        lower = np.array([[1.0]])
+        nu = np.array([5.0, 0.2])
+        target = np.ones(1)
+        assert not _dual_certificate_holds(a, support, lower, nu, target, False, 0.9)
+        assert _dual_certificate_holds(a, support, lower, nu, target, True, 0.9)
+        assert not _dual_certificate_holds(a, support, lower, nu, target, True, 0.1)
+        assert _dual_certificate_holds(a, support, lower, nu, target, False, 3.0)
+        np.testing.assert_array_equal(nu, [5.0, 0.2])
+
+
 class TestPhaseGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -228,6 +283,20 @@ class TestPhaseGrid:
         d1 = TrialDiagnostics(solver_nonconverged=2)
         d1.merge(TrialDiagnostics(solver_nonconverged=3))
         assert d1.solver_nonconverged == 5
+
+    def test_cells_carry_route_counts(self):
+        grid = PhaseGrid(
+            n=24, alphas=(0.4, 0.8), betas=(0.1,), trials_per_cell=4, seed=77
+        )
+        total = TrialDiagnostics(dual=1, iterations=5, max_iterations=5)
+        cells = run_phase_grid(grid, diagnostics=total)
+        for cell in cells:
+            assert sum(cell.diagnostics.routes().values()) == cell.trials
+            assert cell.diagnostics.dual + cell.diagnostics.exact >= cell.successes
+            assert 0 < cell.diagnostics.max_iterations <= cell.diagnostics.iterations
+        assert total.dual == 1 + sum(c.diagnostics.dual for c in cells)
+        assert total.iterations == 5 + sum(c.diagnostics.iterations for c in cells)
+        assert total.max_iterations == max(c.diagnostics.max_iterations for c in cells)
 
 
 class TestEstimateTransition:

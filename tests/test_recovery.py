@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1weak import recovery
-from l1weak.experiments import CounterStream, split_stream_seed
+from l1weak.experiments import (
+    CounterStream,
+    TrialDiagnostics,
+    _witnessed_outcome,
+    split_stream_seed,
+)
 from l1weak.recovery import (
     BPProblem,
     InfeasibleError,
@@ -186,7 +191,7 @@ class TestCheckRecovery:
 
 
 class TestObjectiveCutoff:
-    """Early exit for callers that only need "optimum below this threshold"."""
+    """Planted-vector stops: a primal cut on failures, a dual certificate on successes."""
 
     @staticmethod
     def _failing_instance(regime: Regime):
@@ -206,36 +211,46 @@ class TestObjectiveCutoff:
     @pytest.mark.parametrize("regime", [Regime.GENERAL, Regime.SIGNED])
     def test_fires_on_failing_instance(self, regime):
         a, x0, y = self._failing_instance(regime)
-        cutoff = float(np.abs(x0).sum()) - 0.05
-        sol = solve_bp(BPProblem(A=a, y=y, regime=regime), objective_cutoff=cutoff)
+        sol = solve_bp(BPProblem(A=a, y=y, regime=regime), planted=x0)
+        assert sol.route == "cut"
         assert not sol.converged
-        assert sol.iterations < 50_000
-        assert not check_recovery(x0, sol)
-        # The certificate is honest: an exact solve confirms the optimum
-        # really does lie below the cutoff.
+        assert sol.iterations < recovery._PLANTED_BUDGET
+        # The cut is honest: an exact solve confirms the optimum really does
+        # lie strictly below ||x0||_1.
         exact = simplex_reference(BPProblem(A=a, y=y, regime=regime))
-        assert exact.objective < cutoff
+        assert exact.objective < float(np.abs(x0).sum()) - recovery._CUTOFF_MARGIN
+
+    @pytest.mark.parametrize("index", [262, 375])
+    def test_fires_just_below_planted_norm(self, index):
+        # Near-ties (general, then signed): the optimum lies 1.2e-3 and
+        # 1.05e-2 below ||x0||_1, inside any margin wider than round-off.
+        problem, x0 = _trial_instance(index)
+        gap = float(np.abs(x0).sum()) - simplex_reference(problem).objective
+        assert 1e-5 < gap < 0.05
+        assert solve_bp(problem, planted=x0).route == "cut"
 
     @pytest.mark.parametrize("regime", [Regime.GENERAL, Regime.SIGNED])
     def test_never_fires_on_recoverable_instance(self, regime):
         a, x0, y = _sparse_instance(21, 30, 22, 3, regime)
-        cutoff = float(np.abs(x0).sum()) - 0.05
-        armed = solve_bp(BPProblem(A=a, y=y, regime=regime), objective_cutoff=cutoff)
-        plain = solve_bp(BPProblem(A=a, y=y, regime=regime))
-        assert armed.converged
-        assert armed.iterations == plain.iterations
-        np.testing.assert_array_equal(armed.x_hat, plain.x_hat)
-        assert check_recovery(x0, armed)
+        problem = BPProblem(A=a, y=y, regime=regime)
+        armed = solve_bp(problem, planted=x0)
+        plain = solve_bp(problem)
+        assert armed.route == "dual"
+        assert plain.route == "converged"
+        assert armed.iterations <= plain.iterations
+        assert check_recovery(x0, plain)
 
     def test_default_is_unarmed(self):
         a, x0, y = self._failing_instance(Regime.GENERAL)
         sol = solve_bp(BPProblem(A=a, y=y))
-        # Without a cutoff the solver runs its full course on this instance.
+        # Without a planted vector the solver runs its full course on this
+        # instance: no witness check stops it.
+        assert sol.route == ("converged" if sol.converged else "capped")
         assert sol.iterations == 50_000 or sol.converged
 
 
 def _trial_instance(index: int):
-    """A ``run_trial``-style instance at n = 60: unit magnitudes, trial cutoff."""
+    """A ``run_trial``-style instance at n = 60 with unit magnitudes."""
     regime = Regime.GENERAL if index % 2 == 0 else Regime.SIGNED
     n, m, k = 60, 24 + 3 * (index % 5), 12 + index % 3
     stream = CounterStream(split_stream_seed(2024, index))
@@ -244,37 +259,54 @@ def _trial_instance(index: int):
     signs = stream.sign_draws(k) if regime is Regime.GENERAL else (1,) * k
     x0 = np.zeros(n)
     x0[list(support)] = signs
-    cutoff = float(np.abs(x0).sum()) - max(0.05, 2e-4 * n)
-    return BPProblem(A=a, y=a @ x0, regime=regime), x0, cutoff
+    return BPProblem(A=a, y=a @ x0, regime=regime), x0
 
 
-#: (iterations, converged, recovered) per ``_trial_instance`` index, as
-#: computed by the solver that projected through ``cho_solve`` and ran every
-#: cutoff check; the hot path must reproduce them exactly.
+#: (iterations, route, recovered) per ``_trial_instance`` index, as the
+#: witnessed trial decision reaches them.
 _FROZEN_TRIAL_OUTCOMES = [
-    (64, False, False), (1047, True, True), (64, False, False), (464, True, True),
-    (1920, False, False), (2832, True, True), (1078, True, True), (716, True, True),
-    (64, False, False), (398, True, True), (64, False, False), (128, False, False),
-    (64, False, False), (588, True, True), (438, True, True), (2784, True, True),
-    (64, False, False), (192, False, False), (591, True, True), (443, True, True),
+    (64, "cut", False), (48, "dual", True), (64, "cut", False), (8, "dual", True),
+    (1920, "cut", False), (32, "dual", True), (40, "dual", True), (24, "dual", True),
+    (64, "cut", False), (8, "dual", True), (64, "cut", False), (128, "cut", False),
+    (64, "cut", False), (8, "dual", True), (8, "dual", True), (72, "dual", True),
+    (64, "cut", False), (192, "cut", False), (16, "dual", True), (8, "dual", True),
 ]
 
 
+def _trial_outcome(index: int):
+    problem, x0 = _trial_instance(index)
+    diagnostics = TrialDiagnostics()
+    recovered = _witnessed_outcome(problem.A, x0, problem.regime, diagnostics)
+    (route,) = [name for name, count in diagnostics.routes().items() if count]
+    return diagnostics.iterations, route, recovered
+
+
 class TestHotPath:
-    """The cached projection and the support-keyed cutoff skip change no iterate."""
+    """The witnessed stops on the 20 frozen trial instances."""
 
     def test_trial_outcomes_frozen(self):
-        outcomes = []
-        for index in range(len(_FROZEN_TRIAL_OUTCOMES)):
-            problem, x0, cutoff = _trial_instance(index)
-            sol = solve_bp(problem, objective_cutoff=cutoff)
-            outcomes.append((sol.iterations, sol.converged, check_recovery(x0, sol)))
+        outcomes = [_trial_outcome(i) for i in range(len(_FROZEN_TRIAL_OUTCOMES))]
         assert outcomes == _FROZEN_TRIAL_OUTCOMES
 
+    def test_witnessed_stops_agree_with_highs(self):
+        routes = set()
+        for index in range(len(_FROZEN_TRIAL_OUTCOMES)):
+            problem, x0 = _trial_instance(index)
+            sol = solve_bp(problem, planted=x0)
+            exact = simplex_reference(problem)
+            routes.add(sol.route)
+            if sol.route == "dual":
+                np.testing.assert_allclose(exact.x_hat, x0, rtol=0.0, atol=1e-8)
+            elif sol.route == "cut":
+                assert exact.objective < float(np.abs(x0).sum())
+        assert {"dual", "cut"} <= routes
+
     def test_cutoff_resolves_only_on_support_change(self, monkeypatch):
-        # Index 5 converges after 2832 iterations with the cutoff armed but
-        # never firing, so its support settles over dozens of checks.
-        problem, x0, cutoff = _trial_instance(5)
+        # Index 5 is a success; with the dual certificate switched off its
+        # cut checks never fire, and its support settles over dozens of
+        # checks before the budget runs out.
+        problem, x0 = _trial_instance(5)
+        monkeypatch.setattr(recovery, "_dual_certificate_holds", lambda *args: False)
         seen, solved = [], []
         flatnonzero, lstsq = np.flatnonzero, np.linalg.lstsq
 
@@ -289,8 +321,9 @@ class TestHotPath:
 
         monkeypatch.setattr(np, "flatnonzero", recording_flatnonzero)
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-        sol = solve_bp(problem, objective_cutoff=cutoff)
+        sol = solve_bp(problem, planted=x0)
 
-        assert (sol.iterations, sol.converged) == _FROZEN_TRIAL_OUTCOMES[5][:2]
-        assert len(seen) == sol.iterations // recovery._CUTOFF_CHECK_PERIOD
+        assert (sol.iterations, sol.route) == (recovery._PLANTED_BUDGET, "undecided")
+        # One call finds the planted support, then one per 64-iteration check.
+        assert len(seen) == 1 + sol.iterations // recovery._CUTOFF_CHECK_PERIOD
         assert 0 < len(solved) <= len(set(seen)) < len(seen)
