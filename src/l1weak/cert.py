@@ -51,6 +51,7 @@ from .linalg import (
     _as_vector,
     cholesky_spd,
     nullspace_basis,
+    one_blas_thread,
 )
 from .threshold import Regime
 
@@ -344,6 +345,7 @@ def _dual_stationary(z: np.ndarray, u: np.ndarray, head_size: int, regime: Regim
     return True
 
 
+@one_blas_thread
 def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> TauCertificate:
     """tau(A) via its dual form: minus the distance from a box slice to range(A^T).
 
@@ -555,6 +557,7 @@ def _descent_minimum_exact(a_canon: np.ndarray, basis: np.ndarray, head_size: in
     return _objective_canonical(w / norm, head_size, regime)
 
 
+@one_blas_thread
 def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> float:
     """Independent primal evaluation of tau(A) over the unit ball.
 
@@ -634,6 +637,7 @@ def _dual_certificate_holds(
     return peak <= bound
 
 
+@one_blas_thread
 def classify_nsp(
     A,
     pattern: SupportPattern,

@@ -516,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--trials", type=int, required=True)
     p_phase.add_argument("--seed", type=int, required=True)
     p_phase.add_argument("--signed", action="store_true")
-    p_phase.add_argument("--threads", type=int, default=1, help="0 = all cores")
+    p_phase.add_argument("--threads", type=int, default=1, help="0 = one per usable CPU")
     p_phase.add_argument("--out", default=None)
     p_phase.add_argument("--json", default=None)
     p_phase.add_argument("--svg", default=None)

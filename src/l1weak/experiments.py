@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,22 +377,27 @@ def run_phase_grid(
 ) -> list[PhaseCell]:
     """All feasible cells of the grid, in (beta-major, alpha-minor) order.
 
-    threads=1 runs inline, threads=0 uses every core, threads=N uses a pool
-    of N processes.  Cell results are identical in all cases: each trial's
-    stream is derived from (seed, cell index, trial index) alone, and the
-    pool map preserves task order.  Each cell carries the diagnostics of its
-    own trials; ``diagnostics`` also receives their sum.
+    threads=1 runs inline, threads=0 uses a pool of one process per CPU this
+    process may run on, threads=N uses a pool of N processes; no pool has
+    more processes than there are feasible cells, and a pool of one runs
+    inline.  Cell results are identical in all cases: each trial's stream is
+    derived from (seed, cell index, trial index) alone, and the pool map
+    preserves task order.  Each cell carries the diagnostics of its own
+    trials; ``diagnostics`` also receives their sum.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     tasks = _cell_tasks(grid)
     worker = functools.partial(_run_cell, grid)
-    if threads == 1 or not tasks:
+    if threads == 0:
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    processes = min(threads, len(tasks))
+    if processes <= 1:
         cells = [worker(task) for task in tasks]
     else:
         import multiprocessing
 
-        processes = None if threads == 0 else threads
         with multiprocessing.Pool(processes) as pool:
             cells = pool.map(worker, tasks)
     if diagnostics is not None:

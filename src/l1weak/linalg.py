@@ -8,11 +8,22 @@ extraction from the full QR of the transpose, and a cached row-space
 projector — and raises :class:`RankDeficiencyError` instead of silently
 regularizing, because every caller treats rank deficiency as a bug in the
 input, not a condition to smooth over.
+
+:data:`one_blas_thread` runs the solvers' dense kernels on one BLAS thread:
+it pins every loaded OpenBLAS runtime to one thread for the duration of a
+solve and restores the caller's thread count afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import logging
+import os
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -23,7 +34,10 @@ __all__ = [
     "RowspaceProjector",
     "cholesky_spd",
     "nullspace_basis",
+    "one_blas_thread",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 #: Relative rank tolerance for pivot / diagonal tests (double precision at
 #: desk scale: n up to a few thousand).
@@ -164,3 +178,105 @@ class RowspaceProjector:
             return np.zeros(self.n), nu
         return self._a.T @ nu, nu
 
+
+#: (getter, setter) symbol pairs of an OpenBLAS runtime: NumPy's wheel build
+#: (64-bit integers, suffixed names), SciPy's wheel build, a system OpenBLAS.
+#: ``openblas_set_num_threads_local`` is not used: despite its name it sets
+#: the process-wide count in the builds these wheels ship.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@dataclass(frozen=True)
+class _BlasRuntime:
+    path: str
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+
+
+def _mapped_blas_libraries() -> list[str]:
+    """Shared objects mapped into this process with "blas" in their name.
+
+    Libraries named "openblas" come first, so a runtime reached through a
+    wrapper module that links it is recorded under its own path.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
+    names = {p: os.path.basename(p).lower() for p in paths}
+    return sorted((p for p in paths if "blas" in names[p]), key=lambda p: ("openblas" not in names[p], p))
+
+
+@functools.cache
+def _blas_runtimes() -> tuple[_BlasRuntime, ...]:
+    """The OpenBLAS runtimes loaded in this process, looked up once.
+
+    Each library is opened without loading anything new (RTLD_NOLOAD), and a
+    runtime reached through several libraries is kept once, by the address
+    of its getter.
+    """
+    runtimes: list[_BlasRuntime] = []
+    seen: set[int] = set()
+    for path in _mapped_blas_libraries():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            try:
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            address = ctypes.cast(getter, ctypes.c_void_p).value
+            if address not in seen:
+                seen.add(address)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                runtimes.append(_BlasRuntime(path, getter, setter))
+            break
+    if not runtimes:
+        _LOG.debug("no OpenBLAS runtime found; BLAS thread counts are left alone")
+    return tuple(runtimes)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Pin every OpenBLAS runtime to one thread while any scope is open.
+
+    The thread count is process state, so the pin is too: the first scope
+    entered (in any thread) saves each runtime's count and sets it to 1, and
+    the last scope left restores the saved counts, also when the body
+    raises.  Nested scopes cost one counter update.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple[_BlasRuntime, int]] = []
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(rt, rt.get_num_threads()) for rt in _blas_runtimes()]
+                for rt, _ in self._saved:
+                    rt.set_num_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for rt, count in self._saved:
+                    rt.set_num_threads(count)
+
+
+#: Context manager and decorator: ``with one_blas_thread:`` or
+#: ``@one_blas_thread``.  The solvers' kernels are matrix-vector sized, where
+#: extra BLAS threads only spin, and pool workers each running their own
+#: BLAS threads oversubscribe the cores.
+one_blas_thread = _OneBlasThread()

@@ -40,7 +40,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from .cert import _dual_certificate_holds
-from .linalg import RankDeficiencyError, cholesky_spd
+from .linalg import RankDeficiencyError, cholesky_spd, one_blas_thread
 from .threshold import Regime
 
 __all__ = [
@@ -128,6 +128,7 @@ class BPSolution:
     route: str | None = None
 
 
+@one_blas_thread
 def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolution:
     """Operator-splitting solution of the basis-pursuit problem.
 

@@ -2,12 +2,15 @@
 finite-n framework estimators."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1weak import experiments, linalg, recovery
 from l1weak.cert import _dual_certificate_holds
 from l1weak.experiments import (
     CounterStream,
@@ -272,6 +275,66 @@ class TestPhaseGrid:
         inline = run_phase_grid(grid, threads=1)
         pooled = run_phase_grid(grid, threads=2)
         assert inline == pooled
+
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(0, 64, 5), (0, 3, 3), (64, 1, 5), (2, 64, 2), (0, 1, None), (7, 64, 5)],
+    )
+    def test_pool_size_is_capped_by_cells(self, monkeypatch, threads, cpus, expected):
+        requested = []
+
+        class _RecordingPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, func, tasks):
+                return [func(task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        # cpu_count counts CPUs this process may not be allowed to run on.
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: True)
+        grid = PhaseGrid(
+            n=40, alphas=(0.3, 0.4, 0.5, 0.6, 0.7), betas=(0.1,), trials_per_cell=2, seed=1
+        )
+        cells = run_phase_grid(grid, threads=threads)
+        assert len(cells) == 5 and all(c.successes == 2 for c in cells)
+        assert requested == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trial_solves_run_on_one_blas_thread(self, blas_outer_counts, monkeypatch, threads):
+        # Each stubbed trial makes one tiny solve through the solver binding
+        # run_trial uses and reports whether its body saw one BLAS thread per
+        # runtime.  Forked pool workers inherit both patches and the outer
+        # thread count.
+        a = np.random.default_rng(3).standard_normal((4, 6))
+        x0 = np.zeros(6)
+        x0[2] = 1.0
+        counts = []
+
+        def recording_cholesky(matrix):
+            counts.append([rt.get_num_threads() for rt in linalg._blas_runtimes()])
+            return linalg.cholesky_spd(matrix)
+
+        def trial(n, m, k, regime, stream, diagnostics=None):
+            counts.clear()
+            experiments.solve_bp(recovery.BPProblem(A=a, y=a @ x0), planted=x0)
+            return bool(counts) and all(c == [1] * len(blas_outer_counts) for c in counts)
+
+        monkeypatch.setattr(recovery, "cholesky_spd", recording_cholesky)
+        monkeypatch.setattr(experiments, "run_trial", trial)
+        grid = PhaseGrid(
+            n=20, alphas=(0.4, 0.6, 0.8), betas=(0.1,), trials_per_cell=3, seed=5
+        )
+        cells = run_phase_grid(grid, threads=threads)
+        assert len(cells) == 3 and all(c.successes == c.trials for c in cells)
 
     def test_rerun_is_identical(self):
         grid = PhaseGrid(

@@ -1,16 +1,23 @@
 """Unit tests for the dense linear-algebra layer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l1weak import cert, linalg, recovery
+from l1weak.cert import SupportPattern, classify_nsp, tau_dual, tau_primal_oracle
 from l1weak.linalg import (
     RankDeficiencyError,
     RowspaceProjector,
     cholesky_spd,
     nullspace_basis,
+    one_blas_thread,
 )
+from l1weak.recovery import BPProblem, solve_bp
 
 
 def _random_matrix(seed: int, m: int, n: int) -> np.ndarray:
@@ -138,3 +145,88 @@ class TestRowspaceProjector:
         residual = u - proj(u)
         # u - Pu lies in null(A): expanding it in the null basis recovers it.
         np.testing.assert_allclose(nb.basis @ (nb.basis.T @ residual), residual, atol=1e-10)
+
+
+def _thread_counts() -> list[int]:
+    return [rt.get_num_threads() for rt in linalg._blas_runtimes()]
+
+
+class TestOneBlasThread:
+    def test_pins_inside_and_restores_after(self, blas_outer_counts):
+        with one_blas_thread:
+            assert _thread_counts() == [1] * len(blas_outer_counts)
+        assert _thread_counts() == blas_outer_counts
+
+    def test_restores_when_body_raises(self, blas_outer_counts):
+        with pytest.raises(RuntimeError, match="body"):
+            with one_blas_thread:
+                raise RuntimeError("body")
+        assert _thread_counts() == blas_outer_counts
+
+    def test_nested_scopes_restore_the_outer_count(self, blas_outer_counts):
+        with one_blas_thread:
+            with one_blas_thread:
+                assert _thread_counts() == [1] * len(blas_outer_counts)
+            assert _thread_counts() == [1] * len(blas_outer_counts)
+        assert _thread_counts() == blas_outer_counts
+
+    def test_no_runtime_is_a_no_op(self, blas_outer_counts, monkeypatch):
+        runtimes = linalg._blas_runtimes()
+        monkeypatch.setattr(linalg, "_blas_runtimes", lambda: ())
+        with one_blas_thread:
+            assert [rt.get_num_threads() for rt in runtimes] == blas_outer_counts
+
+    def test_finds_the_wheel_runtimes(self):
+        wheel_libraries = [
+            lib.resolve()
+            for package in (np, scipy)
+            for lib in Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")
+        ]
+        if not wheel_libraries:
+            pytest.skip("NumPy and SciPy do not ship wheel OpenBLAS libraries here")
+        found = {Path(rt.path).resolve() for rt in linalg._blas_runtimes()}
+        assert set(wheel_libraries) <= found
+
+
+def _pinned_solver_cases():
+    """(solver call, module, name of a function the solver body calls)."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 12))
+    pattern = SupportPattern(n=12, support=(4,), signs=(-1,))
+    x0 = np.zeros(12)
+    x0[4] = -1.0
+    return {
+        "solve_bp": (lambda: solve_bp(BPProblem(A=a, y=a @ x0)), recovery, "cholesky_spd"),
+        "tau_dual": (lambda: tau_dual(a, pattern), cert, "_dual_slack_exact"),
+        "classify_nsp": (lambda: classify_nsp(a, pattern), cert, "_strict_dual_certificate"),
+        "tau_primal_oracle": (lambda: tau_primal_oracle(a, pattern), cert, "nullspace_basis"),
+    }
+
+
+class TestSolversRunPinned:
+    @pytest.mark.parametrize("solver", sorted(_pinned_solver_cases()))
+    def test_body_runs_on_one_thread(self, blas_outer_counts, monkeypatch, solver):
+        call, module, name = _pinned_solver_cases()[solver]
+        inner = getattr(module, name)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(_thread_counts())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        call()
+        assert seen and all(counts == [1] * len(blas_outer_counts) for counts in seen)
+        assert _thread_counts() == blas_outer_counts
+
+    @pytest.mark.parametrize("solver", sorted(_pinned_solver_cases()))
+    def test_count_restored_when_solver_raises(self, blas_outer_counts, monkeypatch, solver):
+        call, module, name = _pinned_solver_cases()[solver]
+
+        def failing(*args, **kwargs):
+            raise RankDeficiencyError("injected")
+
+        monkeypatch.setattr(module, name, failing)
+        with pytest.raises(RankDeficiencyError, match="injected"):
+            call()
+        assert _thread_counts() == blas_outer_counts
