@@ -24,9 +24,10 @@ instead of the inf-norm).
 The production solver :func:`tau_dual` uses the dual form of tau: minus the
 Euclidean distance between range(A^T) and a box slice Z (head coordinates
 box-constrained, tail coordinates pinned at the pattern signs), computed by
-an exact bound-constrained least-squares solve in the box slacks, with
-alternating projections only as the fallback when that solve does not reach
-machine-level KKT residuals.  An independent primal oracle
+an exact bound-constrained least-squares solve in the box slacks (seeded by
+one compiled NNLS solve, refined to machine-level KKT residuals), with
+alternating projections only as the fallback when that refinement does not
+finish.  An independent primal oracle
 (:func:`tau_primal_oracle`, exact conic projection when a descending null
 direction exists, 0 otherwise) cross-checks it; :func:`classify_nsp`
 combines tau with the strict dual certificate into a three-way verdict and
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import lsq_linear as _lsq_linear
 from scipy.optimize import nnls as _nnls
 
 from .linalg import (
@@ -84,6 +84,10 @@ _KKT_ACTIVITY = 1e-7
 #: Signed-regime head coordinates are unbounded below in the dual set; cap
 #: them here and flag any active cap as non-convergence (non-attainment guard).
 _SIGNED_HEAD_CAP = -1e6
+#: Weight of the split rows gamma (s + t) = 2 gamma that turn the general
+#: regime's slack box 0 <= s <= 2 into the nonnegative pair (s, t) for the
+#: NNLS seed; the seed is only a starting active set, so gamma need not be exact.
+_SPLIT_WEIGHT = 100.0
 #: Distance below which no unit witness direction is extracted.
 _WITNESS_MIN_DISTANCE = 1e-9
 
@@ -284,12 +288,17 @@ def _dual_slack_exact(
     and eliminating nu exactly through the orthogonal complement Q = I - P
     of the row-space projector, the dual distance problem becomes
     min ||(Q E) s - Q anchor|| over the slack bounds; Q E and Q anchor come
-    from one block solve with the projector's Cholesky factor.  A library
-    solve seeds :func:`_box_lsq_refine`, which accepts only machine-level
-    KKT residuals, so no iteration-change stall (alternating projections
-    are arbitrarily slow when the box slice is nearly tangent to the row
-    space) can leak into the reported tau.  Returns None if the refinement
-    budget is exhausted.
+    from one block solve with the projector's Cholesky factor.  One compiled
+    Lawson-Hanson NNLS solve seeds the active sets of both regimes; in the
+    general regime it runs on the split box s, t >= 0 with the rows
+    gamma (s + t) = 2 gamma stacked under Q E, i.e.
+    [[Q E, 0], [gamma I, gamma I]] [s; t] ~ [Q anchor; 2 gamma 1], and s is
+    clipped to [0, 2].  :func:`_box_lsq_refine` then accepts only
+    machine-level KKT residuals of the true box problem, so the seed sets
+    the speed but never the answer, and no iteration-change stall
+    (alternating projections are arbitrarily slow when the box slice is
+    nearly tangent to the row space) can leak into the reported tau.
+    Returns None if the refinement budget is exhausted.
     """
     anchor = np.ones(n)
     anchor[head_size:] = tail_value
@@ -298,20 +307,18 @@ def _dual_slack_exact(
     block = np.column_stack([embed, anchor])
     q_block = block - projector.project_columns(block)
     q_embed, q_anchor = q_block[:, :head_size], q_block[:, head_size]
+    system, target = q_embed, q_anchor
     if regime is Regime.GENERAL:
         upper = 2.0
-        try:
-            seed = np.asarray(
-                _lsq_linear(q_embed, q_anchor, bounds=(0.0, upper), method="bvls").x
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            seed = np.zeros(head_size)
+        split = _SPLIT_WEIGHT * np.eye(head_size)
+        system = np.block([[q_embed, np.zeros((n, head_size))], [split, split]])
+        target = np.concatenate([q_anchor, np.full(head_size, upper * _SPLIT_WEIGHT)])
     else:
         upper = math.inf
-        try:
-            seed, _ = _nnls(q_embed, q_anchor)
-        except RuntimeError:
-            seed = np.zeros(head_size)
+    try:
+        seed = _nnls(system, target)[0][:head_size]
+    except RuntimeError:
+        seed = np.zeros(head_size)
     slack = _box_lsq_refine(q_embed, q_anchor, upper, seed)
     if slack is None:
         return None
@@ -353,11 +360,14 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     nearest point z of the box slice Z (head coordinates in [-1, 1] general
     / (-inf, 1] signed, tail pinned at the pattern sign).  Only when its
     refinement budget runs out do alternating projections between Z and
-    range(A^T) take over, until the distance change drops below 1e-12 or
-    10^4 iterations.  A final projection of z makes the reported pair
-    (z, u = P z, nu) exactly consistent, so the witness
-    w = (u - z)/||u - z|| lies in null(A) to machine precision.  The
-    ``converged`` flag is the KKT stationarity of the final pair
+    range(A^T) take over, until the pair (z, P z) passes the KKT test
+    (:func:`_dual_stationary`) and the distance changes by less than 1e-12,
+    or 10^4 projections.  Either test alone stops early: the distance stalls
+    before the KKT test holds on failure instances, and the KKT test admits
+    a distance of sqrt(n) 1e-8 on tau = 0 instances.  A final projection of
+    z makes the reported pair (z, u = P z, nu) exactly consistent, so the
+    witness w = (u - z)/||u - z|| lies in null(A) to machine precision.
+    The ``converged`` flag is the KKT stationarity of the final pair
     (:func:`_dual_stationary`), not an iteration-change rule.
     """
     regime = Regime.coerce(regime)
@@ -381,11 +391,11 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
         d_prev = math.inf
         for iterations in range(1, _AP_MAX_ITERS + 1):
             u = projector(z)
-            z = _clip_to_dual_set(u, head_size, regime, tail_value)
             d = float(np.linalg.norm(z - u))
-            if abs(d_prev - d) < _AP_TOL:
+            if abs(d_prev - d) < _AP_TOL and _dual_stationary(z, u, head_size, regime):
                 break
             d_prev = d
+            z = _clip_to_dual_set(u, head_size, regime, tail_value)
 
     u, nu = projector.project_with_coefficients(z)
     d = float(np.linalg.norm(z - u))

@@ -190,21 +190,13 @@ def _write_outputs(args, bundle: ReportBundle, stdout_kind: str) -> None:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    rows = []
-    width = None
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        values = [float(part) for part in line.split(",")]
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(f"{path}:{line_no}: expected {width} columns, got {len(values)}")
-        rows.append(values)
-    if not rows:
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    if not lines:
         raise ValueError(f"{path}: no numeric rows found")
-    return np.array(rows, dtype=float)
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_vector(path: str) -> np.ndarray:

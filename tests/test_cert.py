@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.linalg import null_space
+from scipy.optimize import linprog, lsq_linear
 
 from l1weak import cert as cert_module
 from l1weak.cert import (
@@ -21,6 +22,7 @@ from l1weak.cert import (
     tau_primal_oracle,
     verify_certificate,
 )
+from l1weak.threshold import alpha_w
 
 
 def _random_instance(seed: int, regime: Regime, n_max: int = 24):
@@ -414,12 +416,46 @@ class TestStrictDualCertificate:
         assert abs(fallback.tau - exact.tau) <= 1e-8
 
     def test_fallback_tau_on_failure_instance(self, monkeypatch):
-        # On the failure side the distance-change stop leaves a KKT residual
-        # above 1e-8 (converged is False), but tau itself still agrees.
+        # On the failure side alternating projections run until the KKT test
+        # holds, so the fallback alone still certifies the failure.
         a, pattern = _random_instance(33, Regime.GENERAL)
         exact = tau_dual(a, pattern, Regime.GENERAL)
         assert exact.converged and exact.tau < -1e-3 and exact.iterations == 0
         monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
         fallback = tau_dual(a, pattern, Regime.GENERAL)
-        assert fallback.iterations > 0
+        assert fallback.converged and fallback.iterations > 0
         assert abs(fallback.tau - exact.tau) <= 1e-8
+        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=fallback)
+        assert verdict.verdict == CERTIFIED_FAILURE
+
+    @pytest.mark.parametrize(
+        ("seed", "offset", "expected"),
+        [(200, -0.08, CERTIFIED_FAILURE), (201, 0.08, CERTIFIED_SUCCESS)],
+    )
+    def test_exact_slack_solve_matches_bvls_at_n200(self, seed, offset, expected):
+        # General regime near the weak threshold: the slack distance must match
+        # SciPy's BVLS on the same box problem, written over an orthonormal
+        # null-space basis N of the canonical matrix (||Q v|| = ||N^T v||).
+        n, k = 200, 50
+        m = int(round((alpha_w(Regime.GENERAL, k / n).alpha + offset) * n))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+        pattern = SupportPattern(n=n, support=support, signs=signs)
+        cert = tau_dual(a, pattern, Regime.GENERAL)
+        assert cert.converged and cert.iterations == 0
+
+        canon = canonicalize(pattern, Regime.GENERAL)
+        basis = null_space(canon.apply_matrix(a))
+        head = canon.head_size
+        anchor = np.ones(n)
+        anchor[head:] = -1.0
+        oracle = lsq_linear(basis[:head].T, basis.T @ anchor, bounds=(0.0, 2.0), method="bvls")
+        distance = float(np.linalg.norm(basis[:head].T @ oracle.x - basis.T @ anchor))
+        assert abs(cert.tau + distance) <= 1e-10
+
+        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict
+        assert verdict == expected
+        lp_peak = _dual_certificate_lp(a, pattern, Regime.GENERAL)
+        assert (verdict == CERTIFIED_SUCCESS) == (lp_peak < 1.0)

@@ -212,6 +212,41 @@ class TestRecoverVerb:
         assert code in (1, 2)
 
 
+class TestMatrixFiles:
+    """The comma-separated matrix and vector files read by ``tau`` and ``recover``."""
+
+    def _tau(self, path):
+        return dispatch(["tau", "--matrix", str(path), "--support", "1", "--signed"])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2,3\n4,5\n", "1,2,x\n4,5,6\n", "", "\n  \n"],
+        ids=["ragged", "non-numeric", "empty", "blank-only"],
+    )
+    def test_malformed_file_is_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, bundle = self._tau(path)
+        assert code == 1 and bundle is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        a = np.random.default_rng(5).standard_normal((3, 6))
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        _write_matrix(plain, a)
+        rows = [",".join(repr(float(v)) for v in row) for row in a]
+        spaced.write_text("\n" + rows[0] + "\n\n" + rows[1] + "\n   \n" + rows[2] + "\n\n")
+        assert self._tau(spaced)[1].json == self._tau(plain)[1].json
+
+    def test_single_row_matrix_and_single_value_y(self, tmp_path):
+        mpath, ypath = tmp_path / "a.csv", tmp_path / "y.csv"
+        mpath.write_text("1.0,2.0,0.5\n")
+        _write_vector(ypath, [2.0])
+        code, bundle = dispatch(["recover", "--matrix", str(mpath), "--y", str(ypath)])
+        assert code == 0
+        assert len(json.loads(bundle.json)["x_hat"]) == 3
+
+
 class TestPhaseVerb:
     def _run(self, tmp_path, threads="1", seed="77", extra=()):
         out = tmp_path / f"phase_{threads}_{seed}.csv"
