@@ -25,9 +25,9 @@ The production solver :func:`tau_dual` uses the dual form of tau: minus the
 Euclidean distance between range(A^T) and a box slice Z (head coordinates
 box-constrained, tail coordinates pinned at the pattern signs), computed by
 an exact bound-constrained least-squares solve in the box slacks (seeded by
-one compiled NNLS solve, refined to machine-level KKT residuals), with
-alternating projections only as the fallback when that refinement does not
-finish.  An independent primal oracle
+one compiled NNLS solve, refined to machine-level KKT residuals); when that
+refinement does not finish, the result is reported unconverged and the
+verdict is inconclusive.  An independent primal oracle
 (:func:`tau_primal_oracle`, exact conic projection when a descending null
 direction exists, 0 otherwise) cross-checks it; :func:`classify_nsp`
 combines tau with the strict dual certificate into a three-way verdict and
@@ -77,13 +77,8 @@ CERTIFIED_FAILURE = "certified_failure"
 CERTIFIED_SUCCESS = "certified_success"
 INCONCLUSIVE = "inconclusive"
 
-_AP_TOL = 1e-12
-_AP_MAX_ITERS = 10_000
 _KKT_TOL = 1e-8
 _KKT_ACTIVITY = 1e-7
-#: Signed-regime head coordinates are unbounded below in the dual set; cap
-#: them here and flag any active cap as non-convergence (non-attainment guard).
-_SIGNED_HEAD_CAP = -1e6
 #: Weight of the split rows gamma (s + t) = 2 gamma that turn the general
 #: regime's slack box 0 <= s <= 2 into the nonnegative pair (s, t) for the
 #: NNLS seed; the seed is only a starting active set, so gamma need not be exact.
@@ -225,8 +220,8 @@ class TauCertificate:
     row space by construction); it is None when the dual distance is below
     1e-9 (success-side instances have no failure direction to report).
     ``gap`` is |tau - phi(w_witness)| (|tau| when no witness exists).
-    ``iterations`` counts the alternating-projection steps run: 0 when the
-    exact slack solve decided z, which is the usual case.
+    ``iterations`` is always 0: the exact slack solve is the only route
+    (the field and its JSON key are kept for readers of the schema).
     """
 
     tau: float
@@ -264,16 +259,6 @@ class NspVerdict:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def _clip_to_dual_set(u: np.ndarray, head_size: int, regime: Regime, tail_value: float) -> np.ndarray:
-    z = u.copy()
-    if regime is Regime.GENERAL:
-        z[:head_size] = np.clip(z[:head_size], -1.0, 1.0)
-    else:
-        z[:head_size] = np.clip(z[:head_size], _SIGNED_HEAD_CAP, 1.0)
-    z[head_size:] = tail_value
-    return z
-
-
 def _dual_slack_exact(
     projector: RowspaceProjector,
     head_size: int,
@@ -295,10 +280,8 @@ def _dual_slack_exact(
     [[Q E, 0], [gamma I, gamma I]] [s; t] ~ [Q anchor; 2 gamma 1], and s is
     clipped to [0, 2].  :func:`_box_lsq_refine` then accepts only
     machine-level KKT residuals of the true box problem, so the seed sets
-    the speed but never the answer, and no iteration-change stall
-    (alternating projections are arbitrarily slow when the box slice is
-    nearly tangent to the row space) can leak into the reported tau.
-    Returns None if the refinement budget is exhausted.
+    the speed but never the answer.  Returns None if the refinement budget
+    is exhausted.
     """
     anchor = np.ones(n)
     anchor[head_size:] = tail_value
@@ -331,9 +314,8 @@ def _dual_stationary(z: np.ndarray, u: np.ndarray, head_size: int, regime: Regim
     The distance problem is convex, so optimality is exactly: the residual
     z - u vanishes on head coordinates interior to the box, and points
     outward (beyond the bound) on head coordinates at the box bound.  Tail
-    coordinates are pinned and carry no condition.  This is the honest
-    meaning of convergence — unlike iteration-change rules, it cannot
-    report success on a stalled iterate.
+    coordinates are pinned and carry no condition.  :func:`tau_dual`
+    reports convergence only when this test holds.
     """
     residual = z[:head_size] - u[:head_size]
     head = z[:head_size]
@@ -358,17 +340,14 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
 
     The exact slack-form solve (:func:`_dual_slack_exact`) gives the
     nearest point z of the box slice Z (head coordinates in [-1, 1] general
-    / (-inf, 1] signed, tail pinned at the pattern sign).  Only when its
-    refinement budget runs out do alternating projections between Z and
-    range(A^T) take over, until the pair (z, P z) passes the KKT test
-    (:func:`_dual_stationary`) and the distance changes by less than 1e-12,
-    or 10^4 projections.  Either test alone stops early: the distance stalls
-    before the KKT test holds on failure instances, and the KKT test admits
-    a distance of sqrt(n) 1e-8 on tau = 0 instances.  A final projection of
-    z makes the reported pair (z, u = P z, nu) exactly consistent, so the
-    witness w = (u - z)/||u - z|| lies in null(A) to machine precision.
-    The ``converged`` flag is the KKT stationarity of the final pair
-    (:func:`_dual_stationary`), not an iteration-change rule.
+    / (-inf, 1] signed, tail pinned at the pattern sign).  A final
+    projection of z makes the reported pair (z, u = P z, nu) exactly
+    consistent, so the witness w = (u - z)/||u - z|| lies in null(A) to
+    machine precision.  The ``converged`` flag is the KKT stationarity of
+    that pair (:func:`_dual_stationary`).  When the slack solve runs out of
+    its refinement budget, the anchor point (head at +1, tail pinned) is
+    reported with ``converged`` False, which :func:`classify_nsp` turns
+    into an inconclusive verdict.
     """
     regime = Regime.coerce(regime)
     a = _as_matrix("A", A)
@@ -384,26 +363,15 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     tail_value = -1.0 if regime is Regime.GENERAL else 1.0
 
     z = _dual_slack_exact(projector, head_size, regime, tail_value, n)
-    iterations = 0
-    if z is None:
-        z = np.zeros(n)
+    finished = z is not None
+    if not finished:
+        z = np.ones(n)
         z[head_size:] = tail_value
-        d_prev = math.inf
-        for iterations in range(1, _AP_MAX_ITERS + 1):
-            u = projector(z)
-            d = float(np.linalg.norm(z - u))
-            if abs(d_prev - d) < _AP_TOL and _dual_stationary(z, u, head_size, regime):
-                break
-            d_prev = d
-            z = _clip_to_dual_set(u, head_size, regime, tail_value)
 
     u, nu = projector.project_with_coefficients(z)
     d = float(np.linalg.norm(z - u))
     tau = -d
-
-    converged = _dual_stationary(z, u, head_size, regime)
-    if regime is Regime.SIGNED and head_size and float(z[:head_size].min()) <= _SIGNED_HEAD_CAP + 1.0:
-        converged = False
+    converged = finished and _dual_stationary(z, u, head_size, regime)
 
     w_orig: np.ndarray | None = None
     if d > _WITNESS_MIN_DISTANCE:
@@ -418,7 +386,7 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
         z_witness=z_orig,
         nu_witness=np.asarray(nu, dtype=float),
         w_witness=w_orig,
-        iterations=iterations,
+        iterations=0,
         converged=converged,
         gap=gap,
     )

@@ -219,13 +219,16 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError:
         raise UsageError(f"{flag} must look like start:stop:steps, got {text!r}") from None
+    return _linear_grid(start, stop, steps, flag)
+
+
+def _linear_grid(start: float, stop: float, steps: int, flag: str) -> tuple[float, ...]:
+    """``steps`` evenly spaced values from start to stop; ``flag`` names them in errors."""
     if steps < 1:
         raise UsageError(f"{flag} needs at least 1 step")
-    if steps == 1:
-        if start != stop:
-            raise UsageError(f"{flag} with 1 step requires start == stop")
-        return (start,)
-    if not start < stop:
+    if steps == 1 and start != stop:
+        raise UsageError(f"{flag} with 1 step requires start == stop")
+    if steps > 1 and not start < stop:
         raise UsageError(f"{flag} requires start < stop")
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
@@ -259,16 +262,8 @@ def _cmd_threshold(args) -> tuple[int, ReportBundle]:
     else:
         if args.beta_min is None or args.beta_max is None or args.steps is None:
             raise UsageError("provide --beta or all of --beta-min, --beta-max, --steps")
-        if args.steps < 1:
-            raise UsageError("--steps must be at least 1")
-        if args.steps == 1:
-            if args.beta_min != args.beta_max:
-                raise UsageError("--steps 1 requires --beta-min == --beta-max")
-            betas = [args.beta_min]
-        else:
-            if not args.beta_min < args.beta_max:
-                raise UsageError("--beta-min must be below --beta-max")
-            betas = [float(v) for v in np.linspace(args.beta_min, args.beta_max, args.steps)]
+        flag = "--beta-min:--beta-max:--steps"
+        betas = _linear_grid(args.beta_min, args.beta_max, args.steps, flag)
 
     rows = []
     for beta in betas:

@@ -40,7 +40,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from .cert import _dual_certificate_holds
-from .linalg import RankDeficiencyError, cholesky_spd, one_blas_thread
+from .linalg import RankDeficiencyError, _as_matrix, _as_vector, cholesky_spd, one_blas_thread
 from .threshold import Regime
 
 __all__ = [
@@ -81,21 +81,13 @@ class BPProblem:
     regime: Regime = Regime.GENERAL
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"A must be a 2-d array, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("A contains non-finite entries")
+        a = _as_matrix("A", self.A)
         m, n = a.shape
         if m < 1 or n < 1:
             raise ValueError(f"A must be nonempty, got shape {a.shape}")
         if m > n:
             raise ValueError(f"A must have m <= n, got shape {a.shape}")
-        y = np.asarray(self.y, dtype=float).ravel()
-        if y.size != m:
-            raise ValueError(f"y must have length {m}, got {y.size}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite entries")
+        y = _as_vector("y", self.y, m)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "regime", Regime.coerce(self.regime))

@@ -404,29 +404,48 @@ class TestStrictDualCertificate:
         verdict = classify_nsp(a, pattern, regime)
         assert verdict.verdict == INCONCLUSIVE
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    def test_alternating_projections_fallback(self, monkeypatch, regime):
-        # A tau = 0 instance: alternating projections alone reach the KKT test.
-        a, pattern = _random_instance(2, regime)
-        exact = tau_dual(a, pattern, regime)
-        assert exact.converged and exact.iterations == 0
+    @pytest.mark.parametrize(
+        ("regime", "seeds"),
+        [(Regime.GENERAL, (2, 33)), (Regime.SIGNED, (2,))],
+        ids=["general", "signed"],
+    )
+    def test_unfinished_exact_solve_is_inconclusive(self, monkeypatch, regime, seeds):
+        # Seed 2 has tau = 0 and seed 33 (general) is a failure.  When the
+        # slack refinement gives up there is no second route: the anchor
+        # point is reported unconverged and the verdict is inconclusive.
         monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
-        fallback = tau_dual(a, pattern, regime)
-        assert fallback.converged and fallback.iterations > 0
-        assert abs(fallback.tau - exact.tau) <= 1e-8
+        for seed in seeds:
+            a, pattern = _random_instance(seed, regime)
+            cert = tau_dual(a, pattern, regime)
+            assert not cert.converged and cert.iterations == 0
+            with pytest.raises(ValueError):
+                verify_certificate(a, pattern, cert, regime)
+            verdict = classify_nsp(a, pattern, regime, certificate=cert)
+            assert verdict.verdict == INCONCLUSIVE
 
-    def test_fallback_tau_on_failure_instance(self, monkeypatch):
-        # On the failure side alternating projections run until the KKT test
-        # holds, so the fallback alone still certifies the failure.
-        a, pattern = _random_instance(33, Regime.GENERAL)
-        exact = tau_dual(a, pattern, Regime.GENERAL)
-        assert exact.converged and exact.tau < -1e-3 and exact.iterations == 0
-        monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
-        fallback = tau_dual(a, pattern, Regime.GENERAL)
-        assert fallback.converged and fallback.iterations > 0
-        assert abs(fallback.tau - exact.tau) <= 1e-8
-        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=fallback)
-        assert verdict.verdict == CERTIFIED_FAILURE
+    def test_runaway_signed_head_is_never_a_converged_wrong_tau(self):
+        # The exact slack runs away to z_head of about -4e11 here.  The KKT
+        # test alone must keep that from becoming a converged wrong tau or
+        # a success (no head cap is needed for it).
+        a = np.array(
+            [
+                [0, 0, 0, 1, 0, -1, -1, 1, 1],
+                [0, 1, 1, 0, 0, 0, 0, 0, -1],
+                [-1, 1, -1, -1, 1, 1, 1, 0, 1],
+                [-1, 0, 1, -1, -1, 1, 0, -1, 0],
+                [-1, -1, 1, -1, 1, 0, 0, 1, -1],
+                [1, 1, 0, 1, 1, 1, 0, 1, -1],
+                [1, 1, -1, 0, 1, 0, 1, 0, -1],
+            ],
+            dtype=float,
+        )
+        pattern = SupportPattern.from_indices(9, (2, 4, 5, 6, 7))
+        cert = tau_dual(a, pattern, Regime.SIGNED)
+        if cert.converged:
+            assert abs(cert.tau - tau_primal_oracle(a, pattern, Regime.SIGNED)) <= 1e-8
+            assert verify_certificate(a, pattern, cert, Regime.SIGNED)
+        verdict = classify_nsp(a, pattern, Regime.SIGNED, certificate=cert)
+        assert verdict.verdict != CERTIFIED_SUCCESS
 
     @pytest.mark.parametrize(
         ("seed", "offset", "expected"),

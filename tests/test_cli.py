@@ -90,6 +90,20 @@ class TestThresholdVerb:
     def test_missing_beta_usage_error(self):
         assert dispatch(["threshold"])[0] == 2
 
+    @pytest.mark.parametrize(
+        ("beta_min", "beta_max", "steps"),
+        [("0.1", "0.5", "0"), ("0.1", "0.5", "1"), ("0.5", "0.1", "3"), ("0.3", "0.3", "2")],
+    )
+    def test_bad_beta_range_usage_error(self, beta_min, beta_max, steps):
+        argv = ["threshold", "--beta-min", beta_min, "--beta-max", beta_max, "--steps", steps]
+        assert dispatch(argv) == (2, None)
+
+    def test_one_step_range(self):
+        argv = ["threshold", "--beta-min", "0.3", "--beta-max", "0.3", "--steps", "1"]
+        code, bundle = dispatch(argv)
+        assert code == 0
+        assert bundle.csv == dispatch(["threshold", "--beta", "0.3"])[1].csv
+
     def test_solver_failure_is_exit_1(self, capsys):
         code, bundle = dispatch(["threshold", "--beta", "0.999999999999"])
         assert code == 1 and bundle is None

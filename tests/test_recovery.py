@@ -49,6 +49,18 @@ class TestBPProblem:
         with pytest.raises(ValueError):
             BPProblem(A=a, y=np.zeros(1))
 
+    @pytest.mark.parametrize(
+        ("a", "y", "message"),
+        [
+            (np.zeros(3), np.zeros(1), "A must be a 2-d array"),
+            # Non-finiteness is reported before a wrong length.
+            (np.ones((2, 4)), [np.nan, 0.0, 0.0], "y contains non-finite"),
+        ],
+    )
+    def test_error_names_the_argument(self, a, y, message):
+        with pytest.raises(ValueError, match=message):
+            BPProblem(A=a, y=y)
+
 
 class TestSolveBP:
     def test_identity_echoes_input(self):
