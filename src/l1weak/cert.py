@@ -24,13 +24,15 @@ instead of the inf-norm).
 The production solver :func:`tau_dual` uses the dual form of tau: minus the
 Euclidean distance between range(A^T) and a box slice Z (head coordinates
 box-constrained, tail coordinates pinned at the pattern signs), computed by
-an exact bound-constrained least-squares solve in the box slacks (seeded by
-one compiled NNLS solve, refined to machine-level KKT residuals); when that
-refinement does not finish, the result is reported unconverged and the
-verdict is inconclusive.  An independent primal oracle
-(:func:`tau_primal_oracle`, exact conic projection when a descending null
-direction exists, 0 otherwise) cross-checks it; :func:`classify_nsp`
-combines tau with the strict dual certificate into a three-way verdict and
+an exact bound-constrained least-squares solve in the box slacks over the
+null-space basis of one QR of A^T (seeded by one compiled NNLS solve,
+refined to machine-level KKT residuals); when that refinement does not
+finish, the result is reported unconverged and the verdict is
+inconclusive.  An independent primal oracle (:func:`tau_primal_oracle`,
+exact conic projection when a descending null direction exists, 0
+otherwise) cross-checks it; :func:`classify_nsp` combines tau, a re-check
+of its failure witness and the strict dual certificate into a three-way
+verdict and
 :func:`verify_certificate` re-checks every claim a certificate makes from
 scratch.
 """
@@ -83,8 +85,15 @@ _KKT_ACTIVITY = 1e-7
 #: regime's slack box 0 <= s <= 2 into the nonnegative pair (s, t) for the
 #: NNLS seed; the seed is only a starting active set, so gamma need not be exact.
 _SPLIT_WEIGHT = 100.0
+#: Singular values below this are roundoff in a block of rows of an
+#: orthonormal basis, whose singular values are at most 1.
+_BASIS_RCOND = 1e-12
 #: Distance below which no unit witness direction is extracted.
 _WITNESS_MIN_DISTANCE = 1e-9
+#: A failure witness w lies in null(A) when ||A w|| <= this * ||A||_F ||w||.
+_NULL_RTOL = 1e-8
+#: Largest negative off-support entry a signed failure witness may carry.
+_CONE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -210,14 +219,34 @@ def nullspace_objective(w, pattern: SupportPattern, regime: Regime = Regime.GENE
     return float(np.sum(np.abs(w[head_mask])) + np.sum(signs * w[support]))
 
 
+def _witness_defect(a: np.ndarray, w: np.ndarray, pattern: SupportPattern, regime: Regime) -> str | None:
+    """Why w is not a null vector feasible for the pattern's functional, or None.
+
+    w must lie in null(A) relative to the scale of A and w, and in the signed
+    regime be nonnegative off the support, which
+    :func:`construct_counterexample` needs to build its sparse vector.
+    """
+    if float(np.linalg.norm(a @ w)) > _NULL_RTOL * float(np.linalg.norm(a)) * float(np.linalg.norm(w)):
+        return "w not in null space"
+    if regime is Regime.SIGNED and _leaves_signed_cone(w, pattern):
+        return "signed w negative off support"
+    return None
+
+
+def _leaves_signed_cone(w: np.ndarray, pattern: SupportPattern) -> bool:
+    head_mask = np.ones(pattern.n, dtype=bool)
+    head_mask[list(pattern.support)] = False
+    return bool(head_mask.any()) and float(w[head_mask].min()) < -_CONE_TOL
+
+
 @dataclass(frozen=True)
 class TauCertificate:
     """tau(A) with its dual witnesses (z, nu), primal witness w, diagnostics.
 
     All witnesses are in ORIGINAL coordinates.  ``w_witness`` is a unit
-    vector lying in null(A) to machine precision (it is constructed as the
-    normalized displacement z -> projection(z), which is orthogonal to the
-    row space by construction); it is None when the dual distance is below
+    vector lying in null(A) to machine precision (it is the normalized
+    displacement from z to its projection, expanded in the orthonormal
+    null-space basis of the QR of A^T); it is None when the dual distance is below
     1e-9 (success-side instances have no failure direction to report).
     ``gap`` is |tau - phi(w_witness)| (|tau| when no witness exists).
     ``iterations`` is always 0: the exact slack solve is the only route
@@ -260,64 +289,61 @@ class NspVerdict:
 
 
 def _dual_slack_exact(
-    projector: RowspaceProjector,
+    null: np.ndarray,
     head_size: int,
     regime: Regime,
     tail_value: float,
-    n: int,
 ) -> np.ndarray | None:
     """Exact dual optimum via bound-constrained least squares on box slacks.
 
     Writing z = anchor - E s with the anchor's head coordinates at the upper
-    box bound (+1) and slacks s in [0, 2] (general) or [0, inf) (signed),
-    and eliminating nu exactly through the orthogonal complement Q = I - P
-    of the row-space projector, the dual distance problem becomes
-    min ||(Q E) s - Q anchor|| over the slack bounds; Q E and Q anchor come
-    from one block solve with the projector's Cholesky factor.  One compiled
-    Lawson-Hanson NNLS solve seeds the active sets of both regimes; in the
-    general regime it runs on the split box s, t >= 0 with the rows
-    gamma (s + t) = 2 gamma stacked under Q E, i.e.
-    [[Q E, 0], [gamma I, gamma I]] [s; t] ~ [Q anchor; 2 gamma 1], and s is
-    clipped to [0, 2].  :func:`_box_lsq_refine` then accepts only
+    box bound (+1), the tail pinned at ``tail_value``, and slacks s in
+    [0, 2] (general) or [0, inf) (signed), the distance from z to range(A^T)
+    is ||N^T z|| for the orthonormal null-space basis N (the columns of
+    ``null``), so the dual distance problem is
+    min ||N_head^T s - N^T anchor|| over the slack bounds, with N_head the
+    head rows of N.  One compiled Lawson-Hanson NNLS solve seeds the active
+    sets of both regimes; in the general regime it runs on the split box
+    s, t >= 0 with the rows gamma (s + t) = 2 gamma stacked under N_head^T,
+    i.e. [[N_head^T, 0], [gamma I, gamma I]] [s; t] ~ [N^T anchor; 2 gamma 1],
+    and s is clipped to [0, 2].  :func:`_box_lsq_refine` then accepts only
     machine-level KKT residuals of the true box problem, so the seed sets
-    the speed but never the answer.  Returns None if the refinement budget
-    is exhausted.
+    the speed but never the answer.  Returns z, or None if the refinement
+    budget is exhausted.
     """
-    anchor = np.ones(n)
+    anchor = np.ones(null.shape[0])
     anchor[head_size:] = tail_value
-    embed = np.zeros((n, head_size))
-    embed[np.arange(head_size), np.arange(head_size)] = 1.0
-    block = np.column_stack([embed, anchor])
-    q_block = block - projector.project_columns(block)
-    q_embed, q_anchor = q_block[:, :head_size], q_block[:, head_size]
-    system, target = q_embed, q_anchor
+    system = null[:head_size].T
+    target = null.T @ anchor
+    seed_system, seed_target = system, target
     if regime is Regime.GENERAL:
         upper = 2.0
         split = _SPLIT_WEIGHT * np.eye(head_size)
-        system = np.block([[q_embed, np.zeros((n, head_size))], [split, split]])
-        target = np.concatenate([q_anchor, np.full(head_size, upper * _SPLIT_WEIGHT)])
+        seed_system = np.block([[system, np.zeros_like(system)], [split, split]])
+        seed_target = np.concatenate([target, np.full(head_size, upper * _SPLIT_WEIGHT)])
     else:
         upper = math.inf
     try:
-        seed = _nnls(system, target)[0][:head_size]
+        seed = _nnls(seed_system, seed_target)[0][:head_size]
     except RuntimeError:
         seed = np.zeros(head_size)
-    slack = _box_lsq_refine(q_embed, q_anchor, upper, seed)
+    slack = _box_lsq_refine(system, target, upper, seed)
     if slack is None:
         return None
-    return anchor - embed @ slack
+    anchor[:head_size] -= slack
+    return anchor
 
 
-def _dual_stationary(z: np.ndarray, u: np.ndarray, head_size: int, regime: Regime) -> bool:
-    """KKT test for the dual pair: is (z, u = P z) a distance minimizer?
+def _dual_stationary(z: np.ndarray, residual: np.ndarray, head_size: int, regime: Regime) -> bool:
+    """KKT test for the dual pair: is z, with residual z - P z, a distance minimizer?
 
     The distance problem is convex, so optimality is exactly: the residual
-    z - u vanishes on head coordinates interior to the box, and points
+    vanishes on head coordinates interior to the box, and points
     outward (beyond the bound) on head coordinates at the box bound.  Tail
     coordinates are pinned and carry no condition.  :func:`tau_dual`
     reports convergence only when this test holds.
     """
-    residual = z[:head_size] - u[:head_size]
+    residual = residual[:head_size]
     head = z[:head_size]
     at_upper = head >= 1.0 - _KKT_ACTIVITY
     if regime is Regime.GENERAL:
@@ -338,13 +364,16 @@ def _dual_stationary(z: np.ndarray, u: np.ndarray, head_size: int, regime: Regim
 def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> TauCertificate:
     """tau(A) via its dual form: minus the distance from a box slice to range(A^T).
 
-    The exact slack-form solve (:func:`_dual_slack_exact`) gives the
-    nearest point z of the box slice Z (head coordinates in [-1, 1] general
-    / (-inf, 1] signed, tail pinned at the pattern sign).  A final
-    projection of z makes the reported pair (z, u = P z, nu) exactly
-    consistent, so the witness w = (u - z)/||u - z|| lies in null(A) to
-    machine precision.  The ``converged`` flag is the KKT stationarity of
-    that pair (:func:`_dual_stationary`).  When the slack solve runs out of
+    One :class:`RowspaceProjector` of the canonical matrix B, a complete QR
+    of B^T = [Q1 | N] [R; 0], serves the whole solve.  The exact slack-form
+    solve (:func:`_dual_slack_exact`) works over the null-space basis N and
+    gives the nearest point z of the box slice Z (head coordinates in
+    [-1, 1] general / (-inf, 1] signed, tail pinned at the pattern sign).
+    The residual z - P z = N N^T z gives tau = -||N^T z|| and the witness
+    w = -N N^T z / ||N^T z||, which lies in null(A) by construction, and R
+    gives the row weights nu of P z = B^T nu.  The ``converged`` flag is the
+    KKT stationarity of z and its residual (:func:`_dual_stationary`).
+    When the slack solve runs out of
     its refinement budget, the anchor point (head at +1, tail pinned) is
     reported with ``converged`` False, which :func:`classify_nsp` turns
     into an inconclusive verdict.
@@ -359,23 +388,25 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     canon = canonicalize(pattern, regime)
     b = canon.apply_matrix(a)
     projector = RowspaceProjector(b)
+    null = projector._null
     head_size = canon.head_size
     tail_value = -1.0 if regime is Regime.GENERAL else 1.0
 
-    z = _dual_slack_exact(projector, head_size, regime, tail_value, n)
+    z = _dual_slack_exact(null, head_size, regime, tail_value)
     finished = z is not None
     if not finished:
         z = np.ones(n)
         z[head_size:] = tail_value
 
-    u, nu = projector.project_with_coefficients(z)
-    d = float(np.linalg.norm(z - u))
+    nu = projector.coefficients(z)
+    residual = null @ (null.T @ z)
+    d = float(np.linalg.norm(residual))
     tau = -d
-    converged = finished and _dual_stationary(z, u, head_size, regime)
+    converged = finished and _dual_stationary(z, residual, head_size, regime)
 
     w_orig: np.ndarray | None = None
     if d > _WITNESS_MIN_DISTANCE:
-        w_orig = canon.to_original((u - z) / d)
+        w_orig = canon.to_original(-residual / d)
     z_orig = canon.to_original(z)
     if w_orig is not None:
         gap = abs(tau - nullspace_objective(w_orig, pattern, regime))
@@ -384,7 +415,7 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     return TauCertificate(
         tau=tau,
         z_witness=z_orig,
-        nu_witness=np.asarray(nu, dtype=float),
+        nu_witness=nu,
         w_witness=w_orig,
         iterations=0,
         converged=converged,
@@ -396,6 +427,22 @@ def _objective_canonical(w: np.ndarray, head_size: int, regime: Regime) -> float
     if regime is Regime.GENERAL:
         return float(np.sum(np.abs(w[:head_size])) - np.sum(w[head_size:]))
     return float(np.sum(w))
+
+
+def _basis_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-norm least squares that treats singular values below _BASIS_RCOND as zero.
+
+    ``matrix`` is a block of an orthonormal basis, so the cutoff is absolute:
+    when a null space misses the head coordinates, every column is roundoff
+    and a relative cutoff would follow them to a slack of 1/roundoff.
+    LAPACK never drops the largest singular value, so a block whose norm is
+    below the cutoff is answered here.
+    """
+    scale = float(np.linalg.norm(matrix))
+    if scale <= _BASIS_RCOND:
+        return np.zeros(matrix.shape[1])
+    rcond = max(_BASIS_RCOND / scale, np.finfo(float).eps * max(matrix.shape))
+    return np.linalg.lstsq(matrix, rhs, rcond=rcond)[0]
 
 
 def _box_lsq_refine(
@@ -412,8 +459,9 @@ def _box_lsq_refine(
     the lower bound, and gradient <= 0 at the upper bound.  Library solver
     output seeds the sets but can stop short of full precision; this loop
     only accepts machine-level KKT residuals.  ``upper`` may be ``math.inf``
-    (pure nonnegative least squares).  Returns None if the iteration budget
-    is exhausted.
+    (pure nonnegative least squares).  ``m_mat`` is a block of an
+    orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
+    Returns None if the iteration budget is exhausted.
     """
     r = m_mat.shape[1]
     tol = 1e-12 * max(1.0, float(np.linalg.norm(rhs)))
@@ -430,7 +478,7 @@ def _box_lsq_refine(
         while free.any():
             cols = np.where(free)[0]
             target = rhs - upper * m_mat[:, at_upper].sum(axis=1) if at_upper.any() else rhs
-            sol = np.linalg.lstsq(m_mat[:, cols], target, rcond=None)[0]
+            sol = _basis_lstsq(m_mat[:, cols], target)
             below = sol <= 0.0
             above = sol >= upper
             if not below.any() and not above.any():
@@ -579,7 +627,7 @@ def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol:
         return False
     tail_value = -1.0 if regime is Regime.GENERAL else 1.0
     projector = RowspaceProjector(b)
-    z = _dual_slack_exact(projector, head_size, regime, tail_value / (1.0 - tol), b.shape[1])
+    z = _dual_slack_exact(projector._null, head_size, regime, tail_value / (1.0 - tol))
     if z is None:
         return False
     nu = (1.0 - tol) * projector.coefficients(z)
@@ -625,11 +673,14 @@ def classify_nsp(
 ) -> NspVerdict:
     """Three-way verdict: certified_failure / certified_success / inconclusive.
 
-    failure requires tau < -tol from a converged certificate; success
+    failure requires tau < -tol from a converged certificate whose witness
+    w re-checks: w lies in null(A) relative to ||A||, phi(w) < -tol, and in
+    the signed regime w >= 0 off the support.  success
     requires |tau| <= tol AND a strict dual certificate
     (:func:`_strict_dual_certificate`; tau = 0 alone cannot separate strict
     success from ties); everything else — including a non-converged dual
-    solve or a non-injective A_S — is inconclusive.  A square nonsingular A
+    solve, a failure witness that does not re-check, or a non-injective
+    A_S — is inconclusive.  A square nonsingular A
     (m = n, accepted by this operation only) has a trivial null space and is
     certified success outright.  ``certificate`` may pass a precomputed
     tau_dual result to avoid re-solving.
@@ -643,11 +694,18 @@ def classify_nsp(
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if m == n:
-        cholesky_spd(a @ a.T)  # RankDeficiencyError if singular
+        RowspaceProjector(a)  # RankDeficiencyError if singular
         return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=0.0, tolerance=tol)
 
     cert = certificate if certificate is not None else tau_dual(a, pattern, regime)
-    if cert.tau < -tol and cert.converged:
+    w = None if cert.w_witness is None else _as_vector("w_witness", cert.w_witness, n)
+    if (
+        cert.tau < -tol
+        and cert.converged
+        and w is not None
+        and _witness_defect(a, w, pattern, regime) is None
+        and nullspace_objective(w, pattern, regime) < -tol
+    ):
         return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=tol)
     if abs(cert.tau) <= tol:
         canon = canonicalize(pattern, regime)
@@ -681,11 +739,8 @@ def construct_counterexample(
         raise ValueError(
             f"witness is not a strict failure certificate: phi(w) = {value!r} >= {-tol!r}"
         )
-    if regime is Regime.SIGNED:
-        head_mask = np.ones(pattern.n, dtype=bool)
-        head_mask[list(pattern.support)] = False
-        if head_mask.any() and float(w[head_mask].min()) < -1e-10:
-            raise ValueError("signed witness leaves the nonnegative cone off support")
+    if regime is Regime.SIGNED and _leaves_signed_cone(w, pattern):
+        raise ValueError("signed witness leaves the nonnegative cone off support")
     scale = max(1.0, 2.0 * float(np.abs(w).max()))
     x0 = np.zeros(pattern.n)
     for idx, sign in zip(pattern.support, pattern.signs):
@@ -715,8 +770,11 @@ def verify_certificate(
 ) -> CertificateCheck:
     """Re-check every claim of a converged certificate from the raw matrix.
 
-    Checks, in order: w lies in null(A) (max residual 1e-8) and is unit norm
-    (1e-10) and its functional value matches tau (1e-6); when no witness is
+    Checks, in order: w lies in null(A) (||A w|| at most 1e-8 ||A||_F, so
+    the test does not depend on the scale of A), in the signed regime is
+    nonnegative off the support (-1e-10, what :func:`construct_counterexample`
+    needs), is unit norm (1e-10) and its functional value matches tau
+    (1e-6); when no witness is
     present tau itself must be ~0; z lies in its box / pinned coordinates
     (1e-9); the dual distance ||z - A^T nu|| reproduces -tau (1e-6).
     """
@@ -734,8 +792,9 @@ def verify_certificate(
     w = cert.w_witness
     if w is not None:
         w = _as_vector("w_witness", w, n)
-        if m > 0 and float(np.abs(a @ w).max()) > 1e-8:
-            return CertificateCheck(False, "w not in null space")
+        defect = _witness_defect(a, w, pattern, regime)
+        if defect is not None:
+            return CertificateCheck(False, defect)
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
             return CertificateCheck(False, "w not unit norm")
         if abs(nullspace_objective(w, pattern, regime) - cert.tau) > 1e-6:

@@ -3,11 +3,15 @@
 Everything is double-precision, row-major, and fully dense: the experiments
 only ever touch dense Gaussian matrices, so no sparse or iterative machinery
 is warranted.  Factorizations go through LAPACK (Householder QR, Cholesky);
-this module adds the domain contracts on top — rank tolerances, null-space
-extraction from the full QR of the transpose, and a cached row-space
-projector — and raises :class:`RankDeficiencyError` instead of silently
-regularizing, because every caller treats rank deficiency as a bug in the
-input, not a condition to smooth over.
+this module adds the domain contracts on top.  A^T is factored in one place,
+:class:`RowspaceProjector`: one complete QR gives the row-space projection,
+its row weights and the null-space basis that :func:`nullspace_basis`
+returns, with one rank rule on R's diagonal.  :func:`cholesky_spd` factors
+Gram matrices only where their conditioning is the caller's to accept (the
+Monte Carlo solver's AA^T, a support's A_S^T A_S).  Both raise
+:class:`RankDeficiencyError` instead of silently regularizing, because every
+caller treats rank deficiency as a bug in the input, not a condition to
+smooth over.
 
 :data:`one_blas_thread` runs the solvers' dense kernels on one BLAS thread:
 it pins every loaded OpenBLAS runtime to one thread for the duration of a
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -39,8 +43,9 @@ __all__ = [
 
 _LOG = logging.getLogger(__name__)
 
-#: Relative rank tolerance for pivot / diagonal tests (double precision at
-#: desk scale: n up to a few thousand).
+#: Relative rank tolerance on the pivots of a Gram matrix: diag(L)^2 in
+#: cholesky_spd, R_ii^2 of AA^T = R^T R in RowspaceProjector (double
+#: precision at desk scale: n up to a few thousand).
 RANK_RTOL = 1e-12
 
 
@@ -100,7 +105,7 @@ class NullBasis:
     """Orthonormal basis of null(A) for an m x n matrix A with m < n.
 
     ``basis`` has shape (n, n - m); columns are the trailing columns of the
-    full QR factorization of A^T, so A @ basis vanishes to roundoff and
+    complete QR factorization of A^T, so A @ basis vanishes to roundoff and
     basis^T @ basis is the identity.
     """
 
@@ -114,31 +119,29 @@ class NullBasis:
 
 
 def nullspace_basis(matrix) -> NullBasis:
-    """Orthonormal null-space basis from the full QR of A^T (m < n required)."""
+    """Orthonormal null-space basis N from :class:`RowspaceProjector` (m < n required)."""
     a = _as_matrix("matrix", matrix)
     m, n = a.shape
     if m >= n:
         raise ValueError(f"null-space basis requires m < n, got shape {a.shape}")
-    if m == 0:
-        basis = np.eye(n)
-    else:
-        q_full, r_full = np.linalg.qr(a.T, mode="complete")
-        diag = np.abs(np.diag(r_full[:m, :m]))
-        if float(diag.min()) < RANK_RTOL * max(1.0, float(np.linalg.norm(a))):
-            raise RankDeficiencyError("matrix is not full row rank to working tolerance")
-        basis = q_full[:, m:]
-    basis = np.ascontiguousarray(basis)
-    basis.flags.writeable = False
-    return NullBasis(m=m, n=n, basis=basis)
+    return NullBasis(m=m, n=n, basis=RowspaceProjector(a)._null)
 
 
 class RowspaceProjector:
-    """Orthogonal projector onto range(A^T) with a cached Cholesky of AA^T.
+    """Orthogonal projector onto range(A^T) from one complete QR of A^T.
 
-    Callable: u -> A^T (AA^T)^{-1} A u.  Immutable after construction, so a
-    single instance is safe to share across concurrent tasks.
-    ``coefficients`` returns the row-combination weights nu solving
-    (AA^T) nu = A u, i.e. the nu with projection(u) = A^T nu.
+    A^T = [Q1 | N] [R; 0] with Q1 (n x m) and N (n x (n - m)) orthonormal
+    and R upper triangular.  This is the package's one factorization of A^T
+    and its one rank rule: AA^T = R^T R, so the R_ii^2 are the pivots of
+    AA^T, and the constructor raises :class:`RankDeficiencyError` unless
+    each exceeds RANK_RTOL * ||A||_F^2 / m (the test :func:`cholesky_spd`
+    makes on the same pivots).  Q1 gives the projection u -> Q1 Q1^T u; R
+    gives the row weights nu with projection(u) = A^T nu from
+    R nu = Q1^T u, without forming AA^T, whose condition number is the
+    square of A's; N (``_null``) is the null-space basis that
+    :func:`nullspace_basis` returns and the certificate solvers work in.
+    Immutable after construction, so a single instance is safe to share
+    across concurrent tasks.
     """
 
     def __init__(self, matrix) -> None:
@@ -146,37 +149,30 @@ class RowspaceProjector:
         m, n = a.shape
         if m > n:
             raise ValueError(f"row-space projector requires m <= n, got {a.shape}")
-        self._a = a.copy()
-        self._a.flags.writeable = False
-        self._lower = cholesky_spd(a @ a.T)
+        q, r = np.linalg.qr(a.T, mode="complete")
+        self._r = r[:m]
+        pivots = np.diag(self._r) ** 2
+        if m and float(pivots.min()) <= RANK_RTOL * float(np.sum(a * a)) / m:
+            raise RankDeficiencyError("matrix is not full row rank to working tolerance")
+        self._range = q[:, :m]
+        self._null = np.ascontiguousarray(q[:, m:])
+        for factor in (self._r, self._range, self._null):
+            factor.flags.writeable = False
         self.m = m
         self.n = n
 
     def coefficients(self, u) -> np.ndarray:
         u = _as_vector("u", u, length=self.n)
-        if self.m == 0:
-            return np.zeros(0)
-        return cho_solve((self._lower, True), self._a @ u)
+        return solve_triangular(self._r, self._range.T @ u)
 
     def __call__(self, u) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(self.n)
-        return self._a.T @ self.coefficients(u)
-
-    def project_columns(self, u) -> np.ndarray:
-        """Projection of every column of an n x r matrix, from one block solve."""
-        u = _as_matrix("u", u)
-        if u.shape[0] != self.n:
-            raise ValueError(f"u must have {self.n} rows, got shape {u.shape}")
-        if self.m == 0:
-            return np.zeros(u.shape)
-        return self._a.T @ cho_solve((self._lower, True), self._a @ u)
+        u = _as_vector("u", u, length=self.n)
+        return self._range @ (self._range.T @ u)
 
     def project_with_coefficients(self, u) -> tuple[np.ndarray, np.ndarray]:
-        nu = self.coefficients(u)
-        if self.m == 0:
-            return np.zeros(self.n), nu
-        return self._a.T @ nu, nu
+        u = _as_vector("u", u, length=self.n)
+        weights = self._range.T @ u
+        return self._range @ weights, solve_triangular(self._r, weights)
 
 
 #: (getter, setter) symbol pairs of an OpenBLAS runtime: NumPy's wheel build

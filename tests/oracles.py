@@ -110,6 +110,48 @@ def solve_theta_bisect(regime: str, beta) -> mp.mpf:
     return bisect(lambda t: residual(t, beta), lo, hi, iterations=200)
 
 
+def _cone_factor(regime: str) -> int:
+    """Columns off the support that a descent direction may move: both signs or one."""
+    return 2 if regime == "general" else 1
+
+
+def statistical_dimension(regime: str, beta, t) -> mp.mpf:
+    """f(t) = beta (1 + t^2) + c (1 - beta) E[(g - t)_+^2], g standard normal.
+
+    The statistical dimension of the l1 descent cone at a k = beta n sparse
+    point is n min_{t >= 0} f(t) (Amelunxen, Lotz, McCoy & Tropp, "Living on
+    the edge", 2014), with c = 2 in the general regime and 1 in the signed
+    one; its minimum is the weak threshold alpha_w(beta).  The Gaussian
+    moment is closed form, E[(g - t)_+^2] = (1 + t^2) Q(t) - t phi(t), with
+    Q the upper normal tail and phi the normal density, both from mpmath.
+    """
+    beta, t = mp.mpf(beta), mp.mpf(t)
+    tail = mp.ncdf(-t)
+    moment = (1 + t**2) * tail - t * mp.npdf(t)
+    return beta * (1 + t**2) + _cone_factor(regime) * (1 - beta) * moment
+
+
+def statistical_dimension_slope(regime: str, beta, t) -> mp.mpf:
+    """f'(t) = 2 beta t - 2 c (1 - beta) (phi(t) - t Q(t)), the derivative of
+    :func:`statistical_dimension` in t (d/dt E[(g - t)_+^2] = -2 E[(g - t)_+])."""
+    beta, t = mp.mpf(beta), mp.mpf(t)
+    tail = mp.ncdf(-t)
+    return 2 * beta * t - 2 * _cone_factor(regime) * (1 - beta) * (mp.npdf(t) - t * tail)
+
+
+def statistical_dimension_minimizer(regime: str, beta, alpha) -> mp.mpf:
+    """The minimizer t* of :func:`statistical_dimension` when alpha = alpha_w(beta).
+
+    With r = (1 - alpha)/(1 - beta): t* = sqrt(2) erfinv(r) in the general
+    regime (P(|g| <= t*) = r) and t* = Phi^{-1}(r) in the signed one.  The
+    paper's root theta_hat = alpha_w enters only through alpha.
+    """
+    ratio = (1 - mp.mpf(alpha)) / (1 - mp.mpf(beta))
+    if regime == "general":
+        return mp.sqrt(2) * mp.erfinv(ratio)
+    return mp.sqrt(2) * mp.erfinv(2 * ratio - 1)
+
+
 def _fmt(value) -> str:
     return mp.nstr(value, 17)
 

@@ -1,5 +1,7 @@
 """Unit tests for the null-space certificates: tau, verdicts, witnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,49 @@ from l1weak.cert import (
     verify_certificate,
 )
 from l1weak.threshold import alpha_w
+
+
+def _scaled_corpus(draws: int = 3000):
+    """Badly scaled instances: Gaussian A with a random half of its columns times 1e-4.
+
+    n in [3, 60), m in [1, n), k in [1, n), the regime alternating from
+    general, random support and (general regime) random signs, all drawn
+    from default_rng(5) in this order.
+    """
+    rng = np.random.default_rng(5)
+    for i in range(draws):
+        regime = Regime.GENERAL if i % 2 == 0 else Regime.SIGNED
+        n = int(rng.integers(3, 60))
+        m = int(rng.integers(1, n))
+        k = int(rng.integers(1, n))
+        a = rng.standard_normal((m, n))
+        a[:, rng.choice(n, size=n // 2, replace=False)] *= 1e-4
+        support = tuple(sorted(int(j) for j in rng.choice(n, size=k, replace=False)))
+        if regime is Regime.GENERAL:
+            signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+        else:
+            signs = (1,) * k
+        yield i, a, SupportPattern(n=n, support=support, signs=signs), regime
+
+
+def _signed_failure_with_negative_head():
+    """A converged signed failure and a copy whose witness dips below 0 off support.
+
+    The copy stays a unit null vector with phi < 0: it moves along the
+    null-space projection of one head coordinate until that entry is -0.05.
+    """
+    a, pattern = _random_instance(44, Regime.SIGNED)
+    cert = tau_dual(a, pattern, Regime.SIGNED)
+    assert cert.converged and cert.tau < -1e-2
+    head = [j for j in range(pattern.n) if j not in pattern.support][0]
+    basis = null_space(a)
+    v = basis @ basis[head]
+    w = cert.w_witness - (cert.w_witness[head] + 0.05) / v[head] * v
+    w /= np.linalg.norm(w)
+    assert w[head] < -1e-3 and float(np.abs(a @ w).max()) <= 1e-12
+    tampered = dataclasses.replace(cert, w_witness=w, tau=nullspace_objective(w, pattern, Regime.SIGNED))
+    assert tampered.tau < -1e-2
+    return a, pattern, cert, tampered
 
 
 def _random_instance(seed: int, regime: Regime, n_max: int = 24):
@@ -151,6 +196,25 @@ class TestDuality:
         assert abs(cert.tau - primal) <= 1e-8
         assert verify_certificate(a, pattern, cert, regime).ok
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_null_space_inside_the_support(self, seed):
+        # Columns 1 and 2 are +-column 0 and m = n - 2, so null(A) is
+        # span{e0 - e1, e0 + e2}: it lies on the support and misses every
+        # head coordinate, and tau = -||projection of 1 onto it|| = -sqrt(8/3).
+        # The head rows of the null basis are roundoff; neither solve may
+        # follow them to a runaway slack.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        a = rng.standard_normal((n - 2, n))
+        a[:, 1] = a[:, 0]
+        a[:, 2] = -a[:, 0]
+        pattern = SupportPattern.from_indices(n, (0, 1, 2, n - 1))
+        cert = tau_dual(a, pattern, Regime.SIGNED)
+        assert cert.converged
+        assert abs(cert.tau + np.sqrt(8.0 / 3.0)) <= 1e-12
+        assert abs(tau_primal_oracle(a, pattern, Regime.SIGNED) + np.sqrt(8.0 / 3.0)) <= 1e-12
+        assert verify_certificate(a, pattern, cert, Regime.SIGNED)
+
     @pytest.mark.parametrize("regime", list(Regime))
     def test_tau_is_nonpositive(self, regime):
         for seed in range(6, 10):
@@ -213,16 +277,12 @@ class TestVerifyCertificate:
         assert check.ok and bool(check)
 
     def test_rejects_unconverged(self):
-        import dataclasses
-
         a, pattern, cert = self._converged_failure()
         broken = dataclasses.replace(cert, converged=False)
         with pytest.raises(ValueError):
             verify_certificate(a, pattern, broken, Regime.GENERAL)
 
     def test_detects_corrupted_witness(self):
-        import dataclasses
-
         a, pattern, cert = self._converged_failure()
         w_bad = np.array(cert.w_witness, dtype=float)
         w_bad[0] += 0.5
@@ -232,16 +292,12 @@ class TestVerifyCertificate:
         assert check.reason
 
     def test_detects_corrupted_tau(self):
-        import dataclasses
-
         a, pattern, cert = self._converged_failure()
         broken = dataclasses.replace(cert, tau=cert.tau - 0.25)
         check = verify_certificate(a, pattern, broken, Regime.GENERAL)
         assert not check.ok
 
     def test_detects_corrupted_z(self):
-        import dataclasses
-
         a, pattern, cert = self._converged_failure()
         z_bad = np.array(cert.z_witness, dtype=float)
         z_bad[:] = 2.0  # far outside the box
@@ -250,13 +306,32 @@ class TestVerifyCertificate:
         assert not check.ok
 
     def test_detects_wrong_nu_dimension(self):
-        import dataclasses
-
         a, pattern, cert = self._converged_failure()
         broken = dataclasses.replace(cert, nu_witness=np.zeros(len(cert.nu_witness) + 1))
         check = verify_certificate(a, pattern, broken, Regime.GENERAL)
         assert not check.ok
         assert "dimension" in check.reason
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-4])
+    def test_null_space_test_is_relative_to_the_matrix(self, scale):
+        # The same instance at another scale: the honest certificate passes,
+        # and a witness tilted out of null(A) by 1e-6 fails at either scale.
+        a, pattern = _random_instance(33, Regime.GENERAL)
+        a = scale * a
+        cert = tau_dual(a, pattern, Regime.GENERAL)
+        assert cert.converged and cert.tau < -1e-3
+        assert verify_certificate(a, pattern, cert, Regime.GENERAL).ok
+        row = a.T @ np.ones(a.shape[0])
+        w = cert.w_witness + 1e-6 * row / np.linalg.norm(row)
+        broken = dataclasses.replace(cert, w_witness=w / np.linalg.norm(w))
+        check = verify_certificate(a, pattern, broken, Regime.GENERAL)
+        assert not check.ok and check.reason == "w not in null space"
+
+    def test_rejects_signed_witness_negative_off_support(self):
+        a, pattern, cert, tampered = _signed_failure_with_negative_head()
+        assert verify_certificate(a, pattern, cert, Regime.SIGNED).ok
+        check = verify_certificate(a, pattern, tampered, Regime.SIGNED)
+        assert not check.ok and check.reason == "signed w negative off support"
 
 
 class TestCounterexample:
@@ -341,6 +416,26 @@ class TestClassify:
             "verdict",
         }
 
+    def test_failure_witness_is_rechecked(self):
+        # Each tampered certificate keeps tau < -tol and converged; only its
+        # witness is wrong, so the verdict must fall back to inconclusive.
+        a, pattern = _random_instance(33, Regime.GENERAL)
+        cert = tau_dual(a, pattern, Regime.GENERAL)
+        assert classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict == CERTIFIED_FAILURE
+        row = a.T @ np.ones(a.shape[0])
+        w = cert.w_witness + 0.1 * row / np.linalg.norm(row)
+        off_null = dataclasses.replace(cert, w_witness=w / np.linalg.norm(w))
+        ascent = dataclasses.replace(cert, w_witness=-cert.w_witness)
+        assert nullspace_objective(ascent.w_witness, pattern, Regime.GENERAL) > 0.0
+        for broken in (off_null, ascent):
+            verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=broken)
+            assert verdict.verdict == INCONCLUSIVE and verdict.tau == cert.tau
+
+        a, pattern, cert, tampered = _signed_failure_with_negative_head()
+        assert classify_nsp(a, pattern, Regime.SIGNED, certificate=cert).verdict == CERTIFIED_FAILURE
+        tampered = dataclasses.replace(tampered, tau=cert.tau)
+        assert classify_nsp(a, pattern, Regime.SIGNED, certificate=tampered).verdict == INCONCLUSIVE
+
     @given(st.integers(min_value=100, max_value=2**31 - 1))
     @settings(max_examples=15)
     def test_verdict_is_always_one_of_three(self, seed):
@@ -424,9 +519,9 @@ class TestStrictDualCertificate:
             assert verdict.verdict == INCONCLUSIVE
 
     def test_runaway_signed_head_is_never_a_converged_wrong_tau(self):
-        # The exact slack runs away to z_head of about -4e11 here.  The KKT
-        # test alone must keep that from becoming a converged wrong tau or
-        # a success (no head cap is needed for it).
+        # With a projector built from the Cholesky factor of AA^T the exact
+        # slack ran away to z_head of about -4e11 here.  Through the QR of
+        # A^T it is a clear failure at tau = -1/sqrt(3).
         a = np.array(
             [
                 [0, 0, 0, 1, 0, -1, -1, 1, 1],
@@ -441,11 +536,28 @@ class TestStrictDualCertificate:
         )
         pattern = SupportPattern.from_indices(9, (2, 4, 5, 6, 7))
         cert = tau_dual(a, pattern, Regime.SIGNED)
-        if cert.converged:
-            assert abs(cert.tau - tau_primal_oracle(a, pattern, Regime.SIGNED)) <= 1e-8
-            assert verify_certificate(a, pattern, cert, Regime.SIGNED)
+        assert cert.converged
+        assert abs(cert.tau + 1.0 / np.sqrt(3.0)) <= 1e-12
+        assert abs(cert.tau - tau_primal_oracle(a, pattern, Regime.SIGNED)) <= 1e-8
+        assert verify_certificate(a, pattern, cert, Regime.SIGNED)
         verdict = classify_nsp(a, pattern, Regime.SIGNED, certificate=cert)
-        assert verdict.verdict != CERTIFIED_SUCCESS
+        assert verdict.verdict == CERTIFIED_FAILURE
+
+    def test_scaled_corpus_verdicts_are_right_and_verify(self):
+        # Half the columns at 1e-4 square to a 1e8 spread in AA^T; every
+        # conclusive verdict must still match the primal oracle and re-check.
+        inconclusive = []
+        for i, a, pattern, regime in _scaled_corpus():
+            cert = tau_dual(a, pattern, regime)
+            verdict = classify_nsp(a, pattern, regime, certificate=cert).verdict
+            if verdict == INCONCLUSIVE:
+                inconclusive.append(i)
+                continue
+            oracle = tau_primal_oracle(a, pattern, regime)
+            assert (verdict == CERTIFIED_FAILURE) == (oracle < -1e-6), (i, verdict, cert.tau, oracle)
+            check = verify_certificate(a, pattern, cert, regime)
+            assert check, (i, check.reason)
+        assert len(inconclusive) < 10, inconclusive
 
     @pytest.mark.parametrize(
         ("seed", "offset", "expected"),

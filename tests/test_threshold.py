@@ -21,6 +21,8 @@ from l1weak.threshold import (
     threshold_curve,
 )
 
+import oracles
+
 # [DERIVED] tests/oracles.py solve_theta_bisect, epsilon = 0.
 THETA_HAT_ORACLE = {
     (Regime.GENERAL, 0.1): 0.32879350545363006,
@@ -181,6 +183,25 @@ class TestAlphaW:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             alpha_w(Regime.GENERAL, 1.0)
+
+
+class TestStatisticalDimension:
+    """alpha_w against the statistical dimension of the l1 descent cone.
+
+    tests/oracles.py evaluates f(t) = beta (1 + t^2) + c (1 - beta) E[(g - t)_+^2]
+    in mpmath, a route to the threshold that shares nothing with the
+    characterization equation the package solves.
+    """
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_minimum_and_minimizer_match_alpha_w(self, regime):
+        for beta in [i / 100 for i in range(1, 100)]:
+            alpha = alpha_w(regime, beta).alpha
+            t_star = oracles.statistical_dimension_minimizer(regime.value, beta, alpha)
+            value = oracles.statistical_dimension(regime.value, beta, t_star)
+            slope = oracles.statistical_dimension_slope(regime.value, beta, t_star)
+            assert abs(float(value) - alpha) <= 1e-12, beta
+            assert abs(float(slope)) <= 1e-12, beta
 
 
 class TestThresholdCurve:
