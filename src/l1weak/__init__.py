@@ -45,7 +45,7 @@ from .experiments import (
     run_trial,
     split_stream_seed,
 )
-from .linalg import NullBasis, RankDeficiencyError
+from .linalg import RankDeficiencyError
 from .recovery import (
     BPProblem,
     BPSolution,
@@ -54,7 +54,7 @@ from .recovery import (
     simplex_reference,
     solve_bp,
 )
-from .specfn import DomainError, erf, erfinv, halfnormal_quantile, std_normal_cdf, std_normal_quantile
+from .specfn import DomainError, erfinv
 from .threshold import (
     BracketError,
     EpsilonSet,
@@ -73,13 +73,8 @@ __all__ = [
     "__version__",
     # specfn
     "DomainError",
-    "erf",
     "erfinv",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "halfnormal_quantile",
     # linalg
-    "NullBasis",
     "RankDeficiencyError",
     # threshold
     "Regime",

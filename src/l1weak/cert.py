@@ -176,9 +176,6 @@ class Canonicalization:
         out[self.perm] = self.flips[self.perm] * v_canon
         return out
 
-    def to_canonical(self, v_orig: np.ndarray) -> np.ndarray:
-        return self.flips[self.perm] * v_orig[self.perm]
-
 
 def canonicalize(pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Canonicalization:
     """Permutation + sign flips placing the pattern in the canonical layout.
@@ -571,7 +568,7 @@ def _descent_minimum_exact(a_canon: np.ndarray, basis: np.ndarray, head_size: in
     lifted = np.concatenate(
         [a_canon[:, :head_size], -a_canon[:, :head_size], a_canon[:, head_size:]], axis=1
     )
-    lifted_basis = nullspace_basis(lifted).basis
+    lifted_basis = nullspace_basis(lifted)
     c = np.concatenate([np.ones(2 * head_size), -np.ones(tail)])
     x = _cone_linear_minimum(lifted_basis, 2 * head_size, c)
     if x is None:
@@ -601,7 +598,7 @@ def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERA
     _check_pattern(pattern, regime, n)
     canon = canonicalize(pattern, regime)
     a_canon = canon.apply_matrix(a)
-    basis = nullspace_basis(a_canon).basis
+    basis = nullspace_basis(a_canon)
     value = _descent_minimum_exact(a_canon, basis, canon.head_size, regime)
     return 0.0 if value is None else min(0.0, value)
 
@@ -770,13 +767,14 @@ def verify_certificate(
 ) -> CertificateCheck:
     """Re-check every claim of a converged certificate from the raw matrix.
 
-    Checks, in order: w lies in null(A) (||A w|| at most 1e-8 ||A||_F, so
-    the test does not depend on the scale of A), in the signed regime is
-    nonnegative off the support (-1e-10, what :func:`construct_counterexample`
-    needs), is unit norm (1e-10) and its functional value matches tau
-    (1e-6); when no witness is
-    present tau itself must be ~0; z lies in its box / pinned coordinates
-    (1e-9); the dual distance ||z - A^T nu|| reproduces -tau (1e-6).
+    Checks, in order: nu is a finite length-m vector and tau is finite; w
+    lies in null(A) (||A w|| at most 1e-8 ||A||_F, so the test does not
+    depend on the scale of A), in the signed regime is nonnegative off the
+    support (-1e-10, what :func:`construct_counterexample` needs), is unit
+    norm (1e-10) and its functional value matches tau (1e-6); when no
+    witness is present tau itself must be ~0; z lies in its box / pinned
+    coordinates (1e-9); the dual distance ||z - A^T nu|| reproduces -tau
+    (1e-6).
     """
     regime = Regime.coerce(regime)
     if not cert.converged:
@@ -788,6 +786,10 @@ def verify_certificate(
     nu = np.asarray(cert.nu_witness, dtype=float).ravel()
     if nu.size != m:
         return CertificateCheck(False, "nu has wrong dimension")
+    if not np.all(np.isfinite(nu)):
+        return CertificateCheck(False, "nu not finite")
+    if not math.isfinite(cert.tau):
+        return CertificateCheck(False, "tau not finite")
 
     w = cert.w_witness
     if w is not None:

@@ -289,7 +289,7 @@ def _cmd_threshold(args) -> tuple[int, ReportBundle]:
             "eps3_g": eps.eps3_g,
             "eps5_g": eps.eps5_g,
         },
-        "root_selection": "first sign change of the residual scan",
+        "root_selection": "unique sign change: brentq on the whole residual domain",
     }
     csv_text = emit_csv(
         ["beta", "theta_hat", "alpha_w"],

@@ -34,7 +34,6 @@ from scipy.linalg import solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
-    "NullBasis",
     "RowspaceProjector",
     "cholesky_spd",
     "nullspace_basis",
@@ -100,31 +99,17 @@ def cholesky_spd(matrix) -> np.ndarray:
     return lower
 
 
-@dataclass(frozen=True)
-class NullBasis:
-    """Orthonormal basis of null(A) for an m x n matrix A with m < n.
+def nullspace_basis(matrix) -> np.ndarray:
+    """Orthonormal null-space basis N from :class:`RowspaceProjector` (m < n required).
 
-    ``basis`` has shape (n, n - m); columns are the trailing columns of the
-    complete QR factorization of A^T, so A @ basis vanishes to roundoff and
-    basis^T @ basis is the identity.
+    N has shape (n, n - m): the trailing columns of the complete QR of A^T,
+    so A @ N vanishes to roundoff and N^T N is the identity.  Read-only.
     """
-
-    m: int
-    n: int
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n - self.m
-
-
-def nullspace_basis(matrix) -> NullBasis:
-    """Orthonormal null-space basis N from :class:`RowspaceProjector` (m < n required)."""
     a = _as_matrix("matrix", matrix)
     m, n = a.shape
     if m >= n:
         raise ValueError(f"null-space basis requires m < n, got shape {a.shape}")
-    return NullBasis(m=m, n=n, basis=RowspaceProjector(a)._null)
+    return RowspaceProjector(a)._null
 
 
 class RowspaceProjector:

@@ -45,12 +45,10 @@ _SQRT_1_OVER_2PI = math.sqrt(1.0 / (2.0 * math.pi))
 
 #: Offset keeping brackets strictly inside the open domain.
 _BRACKET_DELTA = 1e-9
-#: Uniform grid on which solve_theta looks for the first sign change.
-_SCAN_POINTS = 64
 
 
 class BracketError(RuntimeError):
-    """The characterization residual showed no sign change on its domain."""
+    """The characterization residual has the same sign at both ends of its domain."""
 
 
 class Regime(str, enum.Enum):
@@ -201,7 +199,7 @@ def char_residual(
     )
 
 
-def _bracket_interval(regime: Regime, beta: float, eps: EpsilonSet, side: str):
+def _bracket_interval(beta: float, eps: EpsilonSet, side: str):
     """Open interval of theta on which char_residual is defined."""
     factor = (1.0 + eps.eps1_c) if side == "lower" else (1.0 - eps.eps2_c)
     # The standalone erfinv argument reaches 1 at theta = 1 - (1-beta)/factor
@@ -223,50 +221,37 @@ def solve_theta(
 ) -> float:
     """Root theta_hat in (beta, 1) of the characterization residual.
 
-    Scans the domain on 64 points for the first sign change, then runs
-    Brent's method (``scipy.optimize.brentq``) on that bracket to machine
-    precision in theta and checks |residual| <= 1e-11.  A bracketing method
-    rather than Newton: the residual is smooth but not provably monotone,
-    and a verified sign-changing bracket is unconditionally safe.
+    The residual is negative at the left end of its domain, positive at the
+    right end, and changes sign once between them: at eps = 0 the equation is
+    the stationarity condition of the strictly convex statistical dimension
+    of the l1 descent cone, whose minimizer is unique (the tests check the
+    single sign change on a grid of betas, sides and epsilons).  So one run
+    of Brent's method (``scipy.optimize.brentq``) on the whole domain finds
+    the root to machine precision in theta; |residual| <= 1e-11 is checked
+    at the end.  Raises :class:`BracketError` when the residual has the same
+    sign at both ends.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
     beta = _check_beta(beta)
     eps = EpsilonSet() if eps is None else eps
-    lo, hi = _bracket_interval(regime, beta, eps, side)
+    lo, hi = _bracket_interval(beta, eps, side)
 
     def residual(theta: float) -> float:
         return char_residual(regime, theta, beta, eps.eps1_c, eps.eps2_c, side)
 
-    bracket = _first_sign_change(residual, lo, hi)
-    if bracket is None:
+    if residual(lo) * residual(hi) > 0.0:
         raise BracketError(
             f"no sign change of the {regime.value} {side} characterization on "
             f"({lo!r}, {hi!r}) for beta={beta!r}"
         )
-    theta = brentq(residual, *bracket, xtol=1e-16)
+    theta = brentq(residual, lo, hi, xtol=1e-16)
     final = residual(theta)
     if abs(final) > 1e-11:
         raise BracketError(
             f"root solve stalled with residual {final!r} at theta={theta!r}"
         )
     return theta
-
-
-def _first_sign_change(residual, lo: float, hi: float):
-    """First adjacent pair (a, b) with a sign change on a 64-point grid, else None."""
-    prev_t = lo
-    prev_f = residual(lo)
-    if prev_f == 0.0:
-        return lo, lo
-    step = (hi - lo) / (_SCAN_POINTS - 1)
-    for i in range(1, _SCAN_POINTS):
-        t = lo + i * step
-        f = residual(t)
-        if f == 0.0 or (prev_f < 0.0) != (f < 0.0):
-            return prev_t, t
-        prev_t, prev_f = t, f
-    return None
 
 
 def alpha_w(regime: Regime, beta: float) -> ThresholdPoint:

@@ -158,13 +158,14 @@ def _fmt(value) -> str:
 
 if __name__ == "__main__":
     print("# specfn")
-    print("erf(1)                         =", _fmt(erf_taylor(1)))
-    print("erf(0.7)                       =", _fmt(erf_taylor(0.7)))
-    print("erfinv(0.5)                    =", _fmt(erfinv_bisect("0.5")))
-    print("erfinv(0.9)                    =", _fmt(erfinv_bisect("0.9")))
-    print("std_normal_quantile(0.975)     =", _fmt(std_normal_quantile_bisect("0.975")))
-    print("halfnormal_quantile(0.5)       =", _fmt(halfnormal_quantile("0.5")))
-    print("halfnormal_quantile(0.3)       =", _fmt(halfnormal_quantile("0.3")))
+    for x in (0.1, 0.5, 0.7, 1.0, 2.0, 3.5):
+        print(f"erf({x})".ljust(31), "=", _fmt(erf_taylor(x)))
+    for p in ("0.1", "0.5", "0.9", "0.99"):
+        print(f"erfinv({p})".ljust(31), "=", _fmt(erfinv_bisect(p)))
+    for p in ("0.1", "0.5", "0.975"):
+        print(f"std_normal_quantile({p})".ljust(31), "=", _fmt(std_normal_quantile_bisect(p)))
+    for p in ("0.3", "0.5", "0.9"):
+        print(f"halfnormal_quantile({p})".ljust(31), "=", _fmt(halfnormal_quantile(p)))
     print()
     print("# threshold roots (epsilon = 0)")
     for regime in ("general", "signed"):

@@ -312,6 +312,25 @@ class TestVerifyCertificate:
         assert not check.ok
         assert "dimension" in check.reason
 
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            ("nu_witness", "nan", "nu not finite"),
+            ("nu_witness", "inf", "nu not finite"),
+            ("tau", "nan", "tau not finite"),
+        ],
+    )
+    def test_rejects_non_finite_nu_and_tau(self, field, value, reason):
+        # Every later test is a tolerance comparison, which NaN never exceeds.
+        a, pattern, cert = self._converged_failure()
+        bad = float(value)
+        if field == "nu_witness":
+            bad = np.full(len(cert.nu_witness), bad)
+        broken = dataclasses.replace(cert, **{field: bad})
+        check = verify_certificate(a, pattern, broken, Regime.GENERAL)
+        assert not check.ok
+        assert check.reason == reason
+
     @pytest.mark.parametrize("scale", [1e4, 1e-4])
     def test_null_space_test_is_relative_to_the_matrix(self, scale):
         # The same instance at another scale: the honest certificate passes,

@@ -70,15 +70,15 @@ class TestNullspace:
         if m >= n:  # need a nontrivial null space with full row rank
             m = max(1, n - 1)
         a = _random_matrix(seed, m, n)
-        nb = nullspace_basis(a)
-        assert nb.basis.shape == (n, n - m)
-        np.testing.assert_allclose(nb.basis.T @ nb.basis, np.eye(n - m), atol=1e-12)
-        assert float(np.abs(a @ nb.basis).max()) <= 1e-10 * max(1.0, float(np.abs(a).max()))
+        basis = nullspace_basis(a)
+        assert basis.shape == (n, n - m)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n - m), atol=1e-12)
+        assert float(np.abs(a @ basis).max()) <= 1e-10 * max(1.0, float(np.abs(a).max()))
 
     def test_empty_matrix_gives_identity(self):
-        nb = nullspace_basis(np.zeros((0, 4)))
-        np.testing.assert_allclose(nb.basis @ nb.basis.T, np.eye(4), atol=1e-14)
-        assert nb.dim == 4
+        basis = nullspace_basis(np.zeros((0, 4)))
+        assert basis.shape == (4, 4)
+        np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-14)
 
     def test_rejects_row_rank_deficient(self):
         a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -90,8 +90,7 @@ class TestNullspace:
         # The rank rule compares R's diagonal with ||A||_F, so scaling A
         # changes neither the verdict nor the basis.
         a = _random_matrix(4, 3, 7)
-        nb = nullspace_basis(scale * a)
-        np.testing.assert_allclose(nb.basis, nullspace_basis(a).basis, atol=1e-12)
+        np.testing.assert_allclose(nullspace_basis(scale * a), nullspace_basis(a), atol=1e-12)
         deficient = np.vstack([a, a[0]])
         with pytest.raises(RankDeficiencyError):
             nullspace_basis(scale * deficient)
@@ -143,11 +142,11 @@ class TestRowspaceProjector:
     def test_complementary_to_nullspace(self):
         a = _random_matrix(3, 4, 9)
         proj = RowspaceProjector(a)
-        nb = nullspace_basis(a)
+        basis = nullspace_basis(a)
         u = _random_matrix(11, 9, 1).ravel()
         residual = u - proj(u)
         # u - Pu lies in null(A): expanding it in the null basis recovers it.
-        np.testing.assert_allclose(nb.basis @ (nb.basis.T @ residual), residual, atol=1e-10)
+        np.testing.assert_allclose(basis @ (basis.T @ residual), residual, atol=1e-10)
 
 
 def _thread_counts() -> list[int]:

@@ -5,12 +5,14 @@ Frozen roots and residual spot values come from tests/oracles.py (mpmath at
 the float implementation against an algorithmically unrelated computation.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from l1weak.threshold import (
     BracketError,
+    _bracket_interval,
     EpsilonSet,
     Regime,
     ThresholdPoint,
@@ -40,6 +42,11 @@ CHAR_SIGNED_SPOT = 0.27794000748528174
 CHAR_GENERAL_SPOT = -0.11117879590793141
 
 betas = st.floats(min_value=0.02, max_value=0.97)
+
+# beta values and slack constants on which the single sign change of the
+# residual, the property solve_theta's one Brent bracket rests on, is checked.
+SIGN_CHANGE_BETAS = [0.01] + [round(0.05 * i, 2) for i in range(1, 20)] + [0.99]
+SIGN_CHANGE_EPS = [0.0, 0.01, 0.0999]
 
 
 class TestCharResidual:
@@ -123,6 +130,27 @@ class TestSolveTheta:
         for beta in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 solve_theta(Regime.GENERAL, beta)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("eps_value", SIGN_CHANGE_EPS)
+    @pytest.mark.parametrize("beta", SIGN_CHANGE_BETAS)
+    def test_one_sign_change_on_the_domain(self, regime, side, eps_value, beta):
+        # Negative at the left end of the domain, positive at the right end,
+        # one sign change on a 512-point grid between them (not necessarily
+        # monotone: general/upper/eps=0.0999/beta=0.01 is not), and the
+        # root lies in the grid cell where the sign changes.
+        eps = EpsilonSet(eps1_c=eps_value, eps2_c=eps_value)
+        lo, hi = _bracket_interval(beta, eps, side)
+        grid = np.linspace(lo, hi, 512)
+        values = np.array(
+            [char_residual(regime, t, beta, eps_value, eps_value, side) for t in grid]
+        )
+        assert values[0] < 0.0 < values[-1]
+        (changes,) = np.nonzero((values[:-1] < 0.0) != (values[1:] < 0.0))
+        assert len(changes) == 1
+        cell = changes[0]
+        assert grid[cell] <= solve_theta(regime, beta, eps, side=side) <= grid[cell + 1]
 
 
 class TestEpsilonSet:
