@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import linprog
+from scipy.linalg import lstsq, solve_triangular
+from scipy.optimize import linprog, nnls
 
 from .cert import _dual_certificate_holds
 from .linalg import RankDeficiencyError, _as_matrix, _as_vector, cholesky_spd, one_blas_thread
@@ -143,11 +143,13 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
       through the Cholesky factor of A_S^T A_S; every off-support
       correlation at most 1 - 5e-7 (signed regime: from above) is a strict
       dual certificate that x0 is the unique optimum (route "dual");
-    - every 64 iterations and at convergence, a feasible candidate built
-      from the current support (see ``_cutoff_certified``) with objective
-      below ||x0||_1 - 1e-6 proves that x0 is not optimal (route "cut");
-      a check whose support equals the previous check's is skipped, since
-      the candidate depends on the support alone;
+    - every 64 iterations and at convergence, a feasible candidate with
+      objective below ||x0||_1 - 1e-6 proves that x0 is not optimal (route
+      "cut"): a least-squares fit on the current support, or in the signed
+      regime nonnegative least squares on that support joined with
+      supp(x0) (see ``_cutoff_certified``); a check whose support equals
+      the previous check's is skipped, since the candidates depend on the
+      support alone;
     - at convergence without either witness, or after a budget of 2,048
       iterations, the route is "undecided".
 
@@ -226,7 +228,7 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
             current = np.flatnonzero(z)
             if not np.array_equal(current, checked_support):
                 checked_support = current
-                if _cutoff_certified(a, y, w, c, current, signed, cutoff):
+                if _cutoff_certified(a, y, w, c, current, support, signed, cutoff):
                     route = "cut"
                     break
         if converged:
@@ -254,24 +256,55 @@ def _cutoff_certified(
     w: np.ndarray,
     c: np.ndarray,
     support: np.ndarray,
+    planted_support: np.ndarray,
     signed: bool,
     cutoff: float,
 ) -> bool:
     """True when a feasible point with objective strictly below ``cutoff`` exists.
 
     The z-iterate is exactly sparse after its prox step, so its support is a
-    candidate optimal basis: least-squares fit y on those columns, then one
-    affine projection (through the solver's W = L^{-1} A, c = L^{-1} y)
-    makes the embedded candidate feasible to machine precision.  A candidate
-    below the cutoff (nonnegative to 1e-9 in the signed regime)
-    upper-bounds the optimum regardless of where the iterate eventually
-    converges.  Supports wider than m cannot form a vertex and are skipped.
+    candidate optimal basis: least-squares fit y on those columns (QR with
+    column pivoting), skipped when the support is wider than m.  In the
+    signed regime a rejected fit, or a skipped one, gets a second candidate
+    when supp(z) is not inside the planted support S: nonnegative least
+    squares on the columns supp(z) | S.  Since x0 >= 0 lives on S, that
+    problem has a zero-residual solution, and NNLS returns a nonnegative
+    one that may also use the iterate's columns.  An NNLS that reaches its
+    iteration limit gives no candidate.
+
+    Each candidate is embedded and sent through one affine projection (the
+    solver's W = L^{-1} A, c = L^{-1} y), which makes it feasible to machine
+    precision.  One below the cutoff (nonnegative to 1e-9 in the signed
+    regime) upper-bounds the optimum regardless of where the iterate
+    eventually converges.
     """
-    if support.size == 0 or support.size > a.shape[0]:
+    if 0 < support.size <= a.shape[0]:
+        coeffs = lstsq(a[:, support], y, lapack_driver="gelsy", check_finite=False)[0]
+        if _candidate_below(w, c, support, coeffs, signed, cutoff):
+            return True
+    if not signed:
         return False
-    coeffs, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
-    candidate = np.zeros(a.shape[1])
-    candidate[support] = coeffs
+    union = np.union1d(support, planted_support)
+    if union.size == planted_support.size:
+        return False
+    try:
+        coeffs = nnls(a[:, union], y)[0]
+    except RuntimeError:
+        return False
+    return _candidate_below(w, c, union, coeffs, signed, cutoff)
+
+
+def _candidate_below(
+    w: np.ndarray,
+    c: np.ndarray,
+    columns: np.ndarray,
+    coeffs: np.ndarray,
+    signed: bool,
+    cutoff: float,
+) -> bool:
+    """Embed ``coeffs`` on ``columns``, project onto A x = y, compare to ``cutoff``."""
+    candidate = np.zeros(w.shape[1])
+    candidate[columns] = coeffs
     candidate -= w.T @ (w @ candidate - c)
     if signed:
         if float(candidate.min()) < -_CUTOFF_CONE_TOL:

@@ -37,13 +37,19 @@ def erf_taylor(x) -> mp.mpf:
     return 2 / mp.sqrt(mp.pi) * total
 
 
-def bisect(fn, lo, hi, iterations: int = 200) -> mp.mpf:
-    """Plain bisection; fn(lo) and fn(hi) must differ in sign."""
+def bisect(fn, lo, hi, iterations: int = 200, width=None) -> mp.mpf:
+    """Plain bisection; fn(lo) and fn(hi) must differ in sign.
+
+    Stops after ``iterations`` halvings, or earlier once the bracket is
+    narrower than ``width``.
+    """
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     flo = fn(lo)
     if flo == 0:
         return lo
     for _ in range(iterations):
+        if width is not None and hi - lo < width:
+            break
         mid = (lo + hi) / 2
         fmid = fn(mid)
         if fmid == 0:
@@ -55,13 +61,20 @@ def bisect(fn, lo, hi, iterations: int = 200) -> mp.mpf:
     return (lo + hi) / 2
 
 
+#: Bracket widths at which the bisections stop: far below the 17 printed
+#: digits, and the inner one far below the outer one, so that the outer
+#: root sees the inner inverse as exact.
+_INNER_WIDTH = mp.mpf("1e-30")
+_OUTER_WIDTH = mp.mpf("1e-25")
+
+
 def erfinv_bisect(p) -> mp.mpf:
     p = mp.mpf(p)
     if p == 0:
         return mp.mpf(0)
     if p < 0:
         return -erfinv_bisect(-p)
-    return bisect(lambda y: erf_taylor(y) - p, 0, 8)
+    return bisect(lambda y: erf_taylor(y) - p, 0, 8, width=_INNER_WIDTH)
 
 
 def std_normal_cdf(x) -> mp.mpf:
@@ -69,7 +82,7 @@ def std_normal_cdf(x) -> mp.mpf:
 
 
 def std_normal_quantile_bisect(p) -> mp.mpf:
-    return bisect(lambda x: std_normal_cdf(x) - mp.mpf(p), -10, 10)
+    return bisect(lambda x: std_normal_cdf(x) - mp.mpf(p), -10, 10, width=_INNER_WIDTH)
 
 
 def halfnormal_quantile(p) -> mp.mpf:
@@ -101,13 +114,13 @@ def char_residual_signed(theta, beta) -> mp.mpf:
 
 
 def solve_theta_bisect(regime: str, beta) -> mp.mpf:
-    """200-iteration bisection for the epsilon-free root theta in (beta, 1)."""
+    """Bisection to a 1e-25 bracket for the epsilon-free root theta in (beta, 1)."""
     beta = mp.mpf(beta)
     residual = char_residual_general if regime == "general" else char_residual_signed
     lo = beta + mp.mpf("1e-12")
     hi = 1 - mp.mpf("1e-12")
     # residual -> -inf as theta -> beta+ (erfinv blows up), > 0 as theta -> 1-
-    return bisect(lambda t: residual(t, beta), lo, hi, iterations=200)
+    return bisect(lambda t: residual(t, beta), lo, hi, width=_OUTER_WIDTH)
 
 
 def _cone_factor(regime: str) -> int:

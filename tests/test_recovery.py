@@ -9,7 +9,9 @@ from l1weak import recovery
 from l1weak.experiments import (
     CounterStream,
     TrialDiagnostics,
+    _round_half_up,
     _witnessed_outcome,
+    run_trial,
     split_stream_seed,
 )
 from l1weak.recovery import (
@@ -20,6 +22,7 @@ from l1weak.recovery import (
     simplex_reference,
     solve_bp,
 )
+from l1weak.threshold import alpha_w
 
 
 def _sparse_instance(seed: int, n: int, m: int, k: int, regime: Regime):
@@ -319,23 +322,116 @@ class TestHotPath:
         # checks before the budget runs out.
         problem, x0 = _trial_instance(5)
         monkeypatch.setattr(recovery, "_dual_certificate_holds", lambda *args: False)
-        seen, solved = [], []
-        flatnonzero, lstsq = np.flatnonzero, np.linalg.lstsq
+        seen, solved_at = [], []
+        flatnonzero = np.flatnonzero
 
         def recording_flatnonzero(v):
             support = flatnonzero(v)
             seen.append(tuple(support))
             return support
 
-        def counting_lstsq(*args, **kwargs):
-            solved.append(args[0].shape[1])
-            return lstsq(*args, **kwargs)
+        def counting(solver):
+            # Records which check (its index in ``seen``) made each candidate solve.
+            def wrapper(*args, **kwargs):
+                solved_at.append(len(seen) - 1)
+                return solver(*args, **kwargs)
+
+            return wrapper
 
         monkeypatch.setattr(np, "flatnonzero", recording_flatnonzero)
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(recovery, "lstsq", counting(recovery.lstsq))
+        monkeypatch.setattr(recovery, "nnls", counting(recovery.nnls))
         sol = solve_bp(problem, planted=x0)
 
         assert (sol.iterations, sol.route) == (recovery._PLANTED_BUDGET, "undecided")
         # One call finds the planted support, then one per 64-iteration check.
         assert len(seen) == 1 + sol.iterations // recovery._CUTOFF_CHECK_PERIOD
-        assert 0 < len(solved) <= len(set(seen)) < len(seen)
+        checks = sorted(set(solved_at))
+        assert 0 < len(checks) <= len(set(seen)) < len(seen)
+        # A check solves only when its support differs from the previous check's.
+        assert all(i == 1 or seen[i] != seen[i - 1] for i in checks)
+
+
+def _signed_grid_trial(n: int, beta: float, offset: float, seed: int, cell: int, trial: int):
+    """A signed phase-grid trial drawn as ``run_trial`` draws it, at alpha_w(beta) + offset."""
+    m = _round_half_up((alpha_w(Regime.SIGNED, beta).alpha + offset) * n)
+    k = _round_half_up(beta * n)
+    stream = CounterStream(split_stream_seed(seed, cell, trial))
+    a = stream.normals(m * n).reshape(m, n)
+    x0 = np.zeros(n)
+    x0[list(stream.choose_support(n, k))] = 1.0
+    return BPProblem(A=a, y=a @ x0, regime=Regime.SIGNED), x0
+
+
+def _found_trial(trial: int):
+    # phase-near signed beta = 0.15, cell 1 (alpha_w - 0.035): m = 62, k = 30.
+    return _signed_grid_trial(200, 0.15, -0.035, 11, 1, trial)
+
+
+#: 60 signed trials at n = 80 around alpha_w: beta 0.15 and 0.25, offsets
+#: -0.06, -0.03 and 0, ten trials per cell.
+_SIGNED_CORPUS = [
+    (80, beta, offset, 13, 3 * bi + oi, trial)
+    for bi, beta in enumerate((0.15, 0.25))
+    for oi, offset in enumerate((-0.06, -0.03, 0.0))
+    for trial in range(10)
+]
+
+
+def _raising_nnls(calls: list):
+    def nnls(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    return nnls
+
+
+class TestSignedCut:
+    """The signed regime's NNLS candidate on supp(z) | S."""
+
+    @pytest.mark.parametrize("trial", [6, 7])
+    def test_cuts_trials_the_support_fit_missed(self, trial):
+        # The least-squares candidates on supp(z) alone are rejected here
+        # (a residual, or a slightly negative coefficient), and the solve
+        # used to run its 2,048-iteration budget.
+        problem, x0 = _found_trial(trial)
+        assert (problem.m, int(x0.sum())) == (62, 30)
+        sol = solve_bp(problem, planted=x0)
+        assert sol.route == "cut"
+        assert sol.iterations <= 1_024
+        assert simplex_reference(problem).objective < 30.0
+        # The same draw through ``run_trial``.
+        diagnostics = TrialDiagnostics()
+        stream = CounterStream(split_stream_seed(11, 1, trial))
+        assert not run_trial(200, 62, 30, Regime.SIGNED, stream, diagnostics)
+        assert (diagnostics.cut, diagnostics.iterations) == (1, sol.iterations)
+
+    def test_witnesses_agree_with_highs(self, monkeypatch):
+        trials = [_signed_grid_trial(*args) for args in _SIGNED_CORPUS]
+        routes = []
+        for problem, x0 in trials:
+            sol = solve_bp(problem, planted=x0)
+            optimum = simplex_reference(problem).objective
+            planted_norm = float(x0.sum())
+            routes.append(sol.route)
+            if sol.route == "cut":
+                assert optimum < planted_norm - recovery._CUTOFF_MARGIN
+            elif sol.route == "dual":
+                assert abs(optimum - planted_norm) <= 1e-6
+        assert routes.count("cut") > 10 and routes.count("dual") > 10
+        # Some of those cuts come from the NNLS candidate.
+        monkeypatch.setattr(recovery, "nnls", _raising_nnls([]))
+        without_nnls = [solve_bp(problem, planted=x0).route for problem, x0 in trials]
+        assert without_nnls.count("cut") < routes.count("cut")
+
+    @pytest.mark.parametrize(("trial", "route"), [(6, "exact"), (7, "exact"), (11, "dual")])
+    def test_nnls_failure_never_decides(self, monkeypatch, trial, route):
+        problem, x0 = _found_trial(trial)
+        plain = _witnessed_outcome(problem.A, x0, problem.regime, TrialDiagnostics())
+        calls = []
+        monkeypatch.setattr(recovery, "nnls", _raising_nnls(calls))
+        diagnostics = TrialDiagnostics()
+        recovered = _witnessed_outcome(problem.A, x0, problem.regime, diagnostics)
+        assert calls
+        assert recovered == plain == (route == "dual")
+        assert diagnostics.routes()[route] == 1
