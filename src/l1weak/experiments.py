@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .cert import CERTIFIED_SUCCESS, INCONCLUSIVE, SupportPattern, classify_nsp
+from .linalg import one_blas_thread
 # check_recovery is unused here but stays bound: perfbench's tracer wraps it by this name.
 from .recovery import BPProblem, check_recovery, solve_bp  # noqa: F401
 from .threshold import Regime
@@ -370,6 +371,7 @@ def _run_cell(grid: PhaseGrid, task: tuple[int, float, float, int, int]):
     )
 
 
+@one_blas_thread
 def run_phase_grid(
     grid: PhaseGrid,
     threads: int = 1,
@@ -384,6 +386,12 @@ def run_phase_grid(
     derived from (seed, cell index, trial index) alone, and the pool map
     preserves task order.  Each cell carries the diagnostics of its own
     trials; ``diagnostics`` also receives their sum.
+
+    The whole grid runs on one BLAS thread, pool included.  The pool forks
+    inside the ``one_blas_thread`` scope, so every worker inherits the pinned
+    counts and an open scope: the solver scopes nested in it never reset the
+    counts, and no worker starts a BLAS thread.  The caller's counts are
+    restored once, when the grid returns or raises.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")

@@ -14,8 +14,8 @@ caller treats rank deficiency as a bug in the input, not a condition to
 smooth over.
 
 :data:`one_blas_thread` runs the solvers' dense kernels on one BLAS thread:
-it pins every loaded OpenBLAS runtime to one thread for the duration of a
-solve and restores the caller's thread count afterwards.
+it pins every loaded OpenBLAS runtime to one thread while a solve (or a
+whole phase grid) runs and restores the caller's thread count afterwards.
 """
 
 from __future__ import annotations
@@ -258,6 +258,8 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 #: Context manager and decorator: ``with one_blas_thread:`` or
 #: ``@one_blas_thread``.  The solvers' kernels are matrix-vector sized, where
-#: extra BLAS threads only spin, and pool workers each running their own
-#: BLAS threads oversubscribe the cores.
+#: extra BLAS threads only spin.  A pool must fork inside a scope, as
+#: ``run_phase_grid``'s pool does, for its workers to inherit the pin: a
+#: worker forked outside one gets the caller's counts back after every solve
+#: and starts BLAS threads of its own.
 one_blas_thread = _OneBlasThread()

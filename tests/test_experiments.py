@@ -336,6 +336,44 @@ class TestPhaseGrid:
         cells = run_phase_grid(grid, threads=threads)
         assert len(cells) == 3 and all(c.successes == c.trials for c in cells)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pin_lasts_for_the_whole_worker(self, blas_outer_counts, monkeypatch, threads):
+        # Each stubbed trial makes one tiny solve, then reads the BLAS thread
+        # counts outside it: a solver scope that reset the counts on exit
+        # would show here.  In a pool worker it also counts the process's OS
+        # threads, which would include any BLAS thread the worker started.
+        # Failures raise in the worker and reach the caller through the map.
+        a = np.random.default_rng(3).standard_normal((4, 6))
+        x0 = np.zeros(6)
+        x0[2] = 1.0
+        caller = os.getpid()
+        tasks_dir = "/proc/self/task"
+
+        def thread_counts():
+            return [rt.get_num_threads() for rt in linalg._blas_runtimes()]
+
+        def trial(n, m, k, regime, stream, diagnostics=None):
+            experiments.solve_bp(recovery.BPProblem(A=a, y=a @ x0), planted=x0)
+            assert thread_counts() == [1] * len(blas_outer_counts), thread_counts()
+            if os.getpid() != caller and os.path.isdir(tasks_dir):
+                assert len(os.listdir(tasks_dir)) == 1, os.listdir(tasks_dir)
+            return True
+
+        def failing_trial(*args):
+            raise RuntimeError("trial failed")
+
+        grid = PhaseGrid(
+            n=20, alphas=(0.4, 0.6, 0.8), betas=(0.1,), trials_per_cell=3, seed=5
+        )
+        monkeypatch.setattr(experiments, "run_trial", trial)
+        cells = run_phase_grid(grid, threads=threads)
+        assert len(cells) == 3 and all(c.successes == c.trials for c in cells)
+        assert thread_counts() == blas_outer_counts
+        monkeypatch.setattr(experiments, "run_trial", failing_trial)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_phase_grid(grid, threads=threads)
+        assert thread_counts() == blas_outer_counts
+
     def test_rerun_is_identical(self):
         grid = PhaseGrid(
             n=18, alphas=(0.6,), betas=(0.15,), trials_per_cell=5, seed=11
