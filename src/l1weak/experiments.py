@@ -86,9 +86,9 @@ def split_stream_seed(seed: int, *path: int) -> int:
 class CounterStream:
     """Counter-mode splitmix64 stream: draw i is mix(seed + (i+1) * golden).
 
-    Blocks are generated with vectorized uint64 arithmetic (wraparound is the
-    intended mod-2^64 behavior); the scalar path uses plain Python integers.
-    Both are bit-identical — the tests cross-check them.
+    Every draw comes from :meth:`u64_block`, vectorized uint64 arithmetic
+    whose wraparound is the intended mod-2^64 behavior; the tests check it
+    against a plain-integer splitmix64.
     """
 
     def __init__(self, seed: int) -> None:
@@ -98,10 +98,6 @@ class CounterStream:
     @property
     def index(self) -> int:
         return self._index
-
-    def next_u64(self) -> int:
-        self._index += 1
-        return splitmix64((self._seed + self._index * _GOLDEN) & _MASK)
 
     def u64_block(self, count: int) -> np.ndarray:
         if count < 0:
@@ -135,25 +131,23 @@ class CounterStream:
         out[1::2] = radius * np.sin(angle)
         return out[:count]
 
-    def integer_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound) by modular reduction (bound << 2^64)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return self.next_u64() % bound
-
     def choose_support(self, n: int, k: int) -> tuple[int, ...]:
-        """k distinct indices from [0, n) by partial Fisher-Yates, sorted."""
+        """k distinct indices from [0, n) by partial Fisher-Yates, sorted.
+
+        Step i swaps position i with j = i + w_i mod (n - i), where w_i is
+        word i of one k-word block; n << 2^64 keeps the modulo bias negligible.
+        """
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         pool = list(range(n))
-        for i in range(k):
-            j = i + self.integer_below(n - i)
+        for i, word in enumerate(self.u64_block(k).tolist()):
+            j = i + word % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:k]))
 
     def sign_draws(self, count: int) -> tuple[int, ...]:
         """count fair signs: +1 when the draw's top bit is 0, else -1."""
-        return tuple(1 if self.next_u64() < _TWO_POW_63 else -1 for _ in range(count))
+        return tuple(1 if word < _TWO_POW_63 else -1 for word in self.u64_block(count).tolist())
 
 
 @dataclass

@@ -105,11 +105,11 @@ class BPProblem:
 class BPSolution:
     """Solver output: recovered vector, objective, feasibility, iteration stats.
 
-    ``converged`` means the residual test passed.  ``route`` says why the
-    solve stopped: "converged" or "capped" (the 50,000-iteration cap)
-    without a planted vector; "dual" (x0 certified optimal), "cut" (a
-    feasible point strictly below ||x0||_1) or "undecided" with one; None
-    from the exact LP oracle.
+    ``converged`` means the residual test passed; a planted solve runs no
+    residual test and reports False.  ``route`` says why the solve stopped:
+    "converged" or "capped" (the 50,000-iteration cap) without a planted
+    vector; "dual" (x0 certified optimal), "cut" (a feasible point strictly
+    below ||x0||_1) or "undecided" with one; None from the exact LP oracle.
     """
 
     x_hat: np.ndarray
@@ -135,23 +135,22 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     v - W^T (W v - c), two matrix-vector products per iteration.
 
     ``planted`` (a vector x0 with A x0 = y) makes the solve decide whether
-    basis pursuit returns x0, on the same iterates:
+    basis pursuit returns x0, on the same iterates, with no residual test:
 
-    - every 8 iterations and at convergence, if supp(z) is supp(x0) with
-      its signs, rho * u (a subgradient of the objective at z) gives
-      nu = L^{-T} W (rho u), which is corrected onto A_S^T nu = sign(x0_S)
-      through the Cholesky factor of A_S^T A_S; every off-support
-      correlation at most 1 - 5e-7 (signed regime: from above) is a strict
-      dual certificate that x0 is the unique optimum (route "dual");
-    - every 64 iterations and at convergence, a feasible candidate with
-      objective below ||x0||_1 - 1e-6 proves that x0 is not optimal (route
-      "cut"): a least-squares fit on the current support, or in the signed
-      regime nonnegative least squares on that support joined with
-      supp(x0) (see ``_cutoff_certified``); a check whose support equals
-      the previous check's is skipped, since the candidates depend on the
-      support alone;
-    - at convergence without either witness, or after a budget of 2,048
-      iterations, the route is "undecided".
+    - every 8 iterations, if supp(z) is supp(x0) with its signs, rho * u
+      (a subgradient of the objective at z) gives nu = L^{-T} W (rho u),
+      which is corrected onto A_S^T nu = sign(x0_S) through the Cholesky
+      factor of A_S^T A_S; every off-support correlation at most 1 - 5e-7
+      (signed regime: from above) is a strict dual certificate that x0 is
+      the unique optimum (route "dual");
+    - every 64 iterations, a feasible candidate with objective below
+      ||x0||_1 - 1e-6 proves that x0 is not optimal (route "cut"): a
+      least-squares fit on the current support, or in the signed regime
+      nonnegative least squares on that support joined with supp(x0) (see
+      ``_cutoff_certified``); a check whose support equals the previous
+      check's is skipped, since the candidates depend on the support alone;
+    - a solve that finds neither witness within a budget of 2,048
+      iterations is "undecided".
 
     A rank-deficient A_S is never certified.  The default None leaves the
     iteration, its stop rule and its cap untouched.
@@ -185,8 +184,7 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     # The empty support never certifies, so it doubles as "nothing checked".
     checked_support = np.empty(0, dtype=np.intp)
     iterations = 0
-    converged = False
-    route = None
+    route = "capped" if planted is None else "undecided"
     for iterations in range(1, max_iters + 1):
         v = z - u
         x = v - w.T @ (w @ v - c)
@@ -199,21 +197,21 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
             z = step - np.clip(step, -inv_rho, inv_rho)
         u = u + x_relaxed - z
 
-        primal = x - z
-        dual = z - z_prev
-        scale_sq = tol_sq * max(1.0, float(x @ x), float(z @ z))
-        if (
-            float(primal @ primal) <= scale_sq
-            and _ADMM_RHO * _ADMM_RHO * float(dual @ dual) <= scale_sq
-        ):
-            residual = a @ z - y
-            converged = float(residual @ residual) <= feas_tol_sq
         if planted is None:
-            if converged:
-                break
+            primal = x - z
+            dual = z - z_prev
+            scale_sq = tol_sq * max(1.0, float(x @ x), float(z @ z))
+            if (
+                float(primal @ primal) <= scale_sq
+                and _ADMM_RHO * _ADMM_RHO * float(dual @ dual) <= scale_sq
+            ):
+                residual = a @ z - y
+                if float(residual @ residual) <= feas_tol_sq:
+                    route = "converged"
+                    break
             continue
         if (
-            (converged or iterations % _DUAL_CHECK_PERIOD == 0)
+            iterations % _DUAL_CHECK_PERIOD == 0
             and support_lower is not None
             and np.count_nonzero(z) == support.size
             and np.all(z[support] * signs > 0.0)
@@ -224,28 +222,21 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
             ):
                 route = "dual"
                 break
-        if converged or iterations % _CUTOFF_CHECK_PERIOD == 0:
+        if iterations % _CUTOFF_CHECK_PERIOD == 0:
             current = np.flatnonzero(z)
             if not np.array_equal(current, checked_support):
                 checked_support = current
                 if _cutoff_certified(a, y, w, c, current, support, signed, cutoff):
                     route = "cut"
                     break
-        if converged:
-            break
 
-    if route is None:
-        if planted is not None:
-            route = "undecided"
-        else:
-            route = "converged" if converged else "capped"
     feas = float(np.linalg.norm(a @ z - y))
     return BPSolution(
         x_hat=z,
         objective=float(np.abs(z).sum()),
         feas_residual=feas,
         iterations=iterations,
-        converged=converged,
+        converged=route == "converged",
         route=route,
     )
 

@@ -212,7 +212,7 @@ def test_criterion_5_phase_transition():
                 seed=11,
                 regime=regime,
             )
-            cells = run_phase_grid(grid)
+            cells = run_phase_grid(grid, threads=0)
             rate_lo, rate_hi = cells[0].rate, cells[-1].rate
             estimate = estimate_transition(cells)
             lowest_hi = min(lowest_hi, rate_hi)

@@ -53,27 +53,19 @@ def _reference_mix(state: int) -> int:
 class TestSplitmix:
     def test_published_vectors(self):
         stream = CounterStream(1234567)
-        assert tuple(stream.next_u64() for _ in range(3)) == SPLITMIX_1234567
+        assert tuple(stream.u64_block(3).tolist()) == SPLITMIX_1234567
+        assert stream.index == 3
 
     @given(st.integers(min_value=0, max_value=_MASK), st.integers(min_value=0, max_value=200))
     @settings(max_examples=30)
     def test_matches_reference_mix(self, seed, index):
         golden = 0x9E3779B97F4A7C15
-        want = _reference_mix((seed + (index + 1) * golden) & _MASK)
+        state = (seed + (index + 1) * golden) & _MASK
+        want = _reference_mix(state)
+        assert splitmix64(state) == want
         stream = CounterStream(seed)
-        for _ in range(index):
-            stream.next_u64()
-        assert stream.next_u64() == want
-
-    @given(st.integers(min_value=0, max_value=_MASK))
-    @settings(max_examples=20)
-    def test_block_equals_scalar_path(self, seed):
-        scalar = CounterStream(seed)
-        block = CounterStream(seed)
-        want = [scalar.next_u64() for _ in range(17)]
-        got = [int(v) for v in block.u64_block(17)]
-        assert got == want
-        assert scalar.index == block.index == 17
+        stream.u64_block(index)
+        assert int(stream.u64_block(1)[0]) == want
 
     def test_split_stream_seed_is_deterministic_and_distinct(self):
         a = split_stream_seed(42, 3, 7)
@@ -120,13 +112,6 @@ class TestCounterStreamDraws:
         signs = CounterStream(4).sign_draws(50)
         assert set(signs) <= {-1, 1}
         assert len(signs) == 50
-
-    def test_integer_below_bounds(self):
-        stream = CounterStream(8)
-        draws = [stream.integer_below(7) for _ in range(100)]
-        assert all(0 <= d < 7 for d in draws)
-        with pytest.raises(ValueError):
-            stream.integer_below(0)
 
 
 class TestRunTrial:

@@ -255,6 +255,17 @@ class TestObjectiveCutoff:
         assert armed.iterations <= plain.iterations
         assert check_recovery(x0, plain)
 
+    def test_tie_runs_the_whole_budget(self):
+        # A = [1, -1] ties x0 = (1, 0) with every point of the segment to
+        # (0, -1): no strict dual certificate and no point below ||x0||_1
+        # exists, so only the budget stops the solve, however early its
+        # iterates settle.
+        a = np.array([[1.0, -1.0]])
+        x0 = np.array([1.0, 0.0])
+        sol = solve_bp(BPProblem(A=a, y=a @ x0), planted=x0)
+        assert (sol.iterations, sol.route) == (recovery._PLANTED_BUDGET, "undecided")
+        assert not sol.converged
+
     def test_default_is_unarmed(self):
         a, x0, y = self._failing_instance(Regime.GENERAL)
         sol = solve_bp(BPProblem(A=a, y=y))
