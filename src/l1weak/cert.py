@@ -94,6 +94,9 @@ _WITNESS_MIN_DISTANCE = 1e-9
 _NULL_RTOL = 1e-8
 #: Largest negative off-support entry a signed failure witness may carry.
 _CONE_TOL = 1e-10
+#: Verdict tolerance of :func:`classify_nsp`: failure needs tau < -this,
+#: success |tau| <= this and a dual certificate with head margin this/2.
+_VERDICT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -367,7 +370,9 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     gives the nearest point z of the box slice Z (head coordinates in
     [-1, 1] general / (-inf, 1] signed, tail pinned at the pattern sign).
     The residual z - P z = N N^T z gives tau = -||N^T z|| and the witness
-    w = -N N^T z / ||N^T z||, which lies in null(A) by construction, and R
+    w = -N N^T z / ||N^T z||, which lies in null(A) by construction (in the
+    signed regime a converged w has its head roundoff below 0 clipped and is
+    renormalized), and R
     gives the row weights nu of P z = B^T nu.  The ``converged`` flag is the
     KKT stationarity of z and its residual (:func:`_dual_stationary`).
     When the slack solve runs out of
@@ -403,7 +408,13 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
 
     w_orig: np.ndarray | None = None
     if d > _WITNESS_MIN_DISTANCE:
-        w_orig = canon.to_original(-residual / d)
+        w = -residual / d
+        if regime is Regime.SIGNED and converged:
+            # The head is >= 0 by KKT: clip its roundoff (a real violation
+            # moves w off null(A), which _witness_defect still rejects).
+            np.maximum(w[:head_size], 0.0, out=w[:head_size])
+            w /= np.linalg.norm(w)
+        w_orig = canon.to_original(w)
     z_orig = canon.to_original(z)
     if w_orig is not None:
         gap = abs(tau - nullspace_objective(w_orig, pattern, regime))
@@ -603,7 +614,7 @@ def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERA
     return 0.0 if value is None else min(0.0, value)
 
 
-def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol: float) -> bool:
+def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime) -> bool:
     """Strict dual certificate of success, in canonical coordinates.
 
     The pattern is recovered for every vector on it iff the tail columns
@@ -614,7 +625,8 @@ def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol:
     does: the exact slack solve of that slice gives z, then
     nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = tail value
     through the Cholesky factor of B_S^T B_S.  Success is decided on that
-    final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`.
+    final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`;
+    tol is the verdict tolerance ``_VERDICT_TOL``.
     """
     tail = slice(head_size, None)
     b_tail = b[:, tail]
@@ -624,12 +636,13 @@ def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime, tol:
         return False
     tail_value = -1.0 if regime is Regime.GENERAL else 1.0
     projector = RowspaceProjector(b)
-    z = _dual_slack_exact(projector._null, head_size, regime, tail_value / (1.0 - tol))
+    z = _dual_slack_exact(projector._null, head_size, regime, tail_value / (1.0 - _VERDICT_TOL))
     if z is None:
         return False
-    nu = (1.0 - tol) * projector.coefficients(z)
+    nu = (1.0 - _VERDICT_TOL) * projector.coefficients(z)
     signed = regime is Regime.SIGNED
-    return _dual_certificate_holds(b, tail, lower, nu, tail_value, signed, 1.0 - 0.5 * tol)
+    bound = 1.0 - 0.5 * _VERDICT_TOL
+    return _dual_certificate_holds(b, tail, lower, nu, tail_value, signed, bound)
 
 
 def _dual_certificate_holds(
@@ -665,15 +678,14 @@ def classify_nsp(
     A,
     pattern: SupportPattern,
     regime: Regime = Regime.GENERAL,
-    tol: float = 1e-6,
     certificate: TauCertificate | None = None,
 ) -> NspVerdict:
     """Three-way verdict: certified_failure / certified_success / inconclusive.
 
-    failure requires tau < -tol from a converged certificate whose witness
-    w re-checks: w lies in null(A) relative to ||A||, phi(w) < -tol, and in
-    the signed regime w >= 0 off the support.  success
-    requires |tau| <= tol AND a strict dual certificate
+    With tol = 1e-6 (``_VERDICT_TOL``), failure requires tau < -tol from a
+    converged certificate whose witness w re-checks: w lies in null(A)
+    relative to ||A||, phi(w) < -tol, and in the signed regime w >= 0 off
+    the support.  success requires |tau| <= tol AND a strict dual certificate
     (:func:`_strict_dual_certificate`; tau = 0 alone cannot separate strict
     success from ties); everything else — including a non-converged dual
     solve, a failure witness that does not re-check, or a non-injective
@@ -688,28 +700,26 @@ def classify_nsp(
     if m > n:
         raise ValueError(f"classify_nsp requires m <= n, got shape {a.shape}")
     _check_pattern(pattern, regime, n)
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if m == n:
         RowspaceProjector(a)  # RankDeficiencyError if singular
-        return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=0.0, tolerance=tol)
+        return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=0.0, tolerance=_VERDICT_TOL)
 
     cert = certificate if certificate is not None else tau_dual(a, pattern, regime)
     w = None if cert.w_witness is None else _as_vector("w_witness", cert.w_witness, n)
     if (
-        cert.tau < -tol
+        cert.tau < -_VERDICT_TOL
         and cert.converged
         and w is not None
         and _witness_defect(a, w, pattern, regime) is None
-        and nullspace_objective(w, pattern, regime) < -tol
+        and nullspace_objective(w, pattern, regime) < -_VERDICT_TOL
     ):
-        return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=tol)
-    if abs(cert.tau) <= tol:
+        return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=_VERDICT_TOL)
+    if abs(cert.tau) <= _VERDICT_TOL:
         canon = canonicalize(pattern, regime)
         b = canon.apply_matrix(a)
-        if _strict_dual_certificate(b, canon.head_size, regime, tol):
-            return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=tol)
-    return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=tol)
+        if _strict_dual_certificate(b, canon.head_size, regime):
+            return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=_VERDICT_TOL)
+    return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=_VERDICT_TOL)
 
 
 def construct_counterexample(

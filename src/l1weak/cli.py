@@ -15,9 +15,10 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,10 @@ _SVG_MARGIN_RIGHT = 20
 _SVG_MARGIN_TOP = 20
 _SVG_MARGIN_BOTTOM = 55
 
+#: Columns of the ``threshold`` and ``phase`` tables, in CSV and JSON alike.
+_THRESHOLD_COLUMNS = ("beta", "theta_hat", "alpha_w")
+_PHASE_COLUMNS = ("alpha", "beta", "m", "k", "trials", "successes", "rate")
+
 
 class UsageError(Exception):
     """Invalid flag combination or malformed flag value."""
@@ -45,12 +50,11 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Everything a verb produced: tables, optional plot, run metadata."""
+    """Everything a verb produced: the JSON document, optional CSV table and plot."""
 
-    csv: str | None
-    json: str | None
-    svg: str | None
-    metadata: dict
+    json: str
+    csv: str | None = None
+    svg: str | None = None
 
 
 def _format_value(value) -> str:
@@ -166,27 +170,22 @@ def emit_svg(curve, cells=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_outputs(args, bundle: ReportBundle, stdout_kind: str) -> None:
-    """Route the bundle: files for --out/--json/--svg, the rest to stdout."""
-    out = getattr(args, "out", None)
-    json_path = getattr(args, "json", None)
-    svg_path = getattr(args, "svg", None)
-    if stdout_kind == "csv":
-        if out:
-            Path(out).write_text(bundle.csv)
-        else:
-            sys.stdout.write(bundle.csv)
-        if json_path:
-            Path(json_path).write_text(bundle.json)
+def _write_outputs(args, bundle: ReportBundle) -> None:
+    """The CSV (the JSON for a verb without one) to --out or stdout; --json/--svg to files."""
+    table = bundle.json if bundle.csv is None else bundle.csv
+    if args.out:
+        Path(args.out).write_text(table)
     else:
-        if out:
-            Path(out).write_text(bundle.json)
-        else:
-            sys.stdout.write(bundle.json)
-    if svg_path:
-        if bundle.svg is None:
-            raise UsageError("this verb does not produce an SVG plot")
-        Path(svg_path).write_text(bundle.svg)
+        sys.stdout.write(table)
+    for flag in ("json", "svg"):
+        path = getattr(args, flag, None)
+        if path:
+            Path(path).write_text(getattr(bundle, flag))
+
+
+def _table(columns, rows) -> tuple[str, list[dict]]:
+    """A table's CSV text and its JSON records, both keyed by ``columns``."""
+    return emit_csv(columns, rows), [dict(zip(columns, row)) for row in rows]
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -239,20 +238,12 @@ def _regime_from(args) -> Regime:
 
 def _epsilon_from(args) -> EpsilonSet:
     try:
-        return EpsilonSet(
-            eps1_c=args.eps_1c,
-            eps2_c=args.eps_2c,
-            eps1_m=args.eps_1m,
-            eps3_m=args.eps_3m,
-            eps1_g=args.eps_1g,
-            eps3_g=args.eps_3g,
-            eps5_g=args.eps_5g,
-        )
+        return EpsilonSet(**{f.name: getattr(args, f.name) for f in fields(EpsilonSet)})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _cmd_threshold(args) -> tuple[int, ReportBundle]:
+def _cmd_threshold(args) -> ReportBundle:
     regime = _regime_from(args)
     eps = _epsilon_from(args)
     if args.beta is not None:
@@ -280,36 +271,18 @@ def _cmd_threshold(args) -> tuple[int, ReportBundle]:
         "command": "threshold",
         "regime": regime.value,
         "side": args.side,
-        "eps": {
-            "eps1_c": eps.eps1_c,
-            "eps2_c": eps.eps2_c,
-            "eps1_m": eps.eps1_m,
-            "eps3_m": eps.eps3_m,
-            "eps1_g": eps.eps1_g,
-            "eps3_g": eps.eps3_g,
-            "eps5_g": eps.eps5_g,
-        },
+        "eps": asdict(eps),
         "root_selection": "unique sign change: brentq on the whole residual domain",
     }
-    csv_text = emit_csv(
-        ["beta", "theta_hat", "alpha_w"],
-        [[b, t, a] for b, t, a in rows],
+    csv_text, points = _table(_THRESHOLD_COLUMNS, rows)
+    return ReportBundle(
+        json=_emit_json({"metadata": metadata, "points": points}),
+        csv=csv_text,
+        svg=emit_svg([(b, a) for b, _, a in rows]),
     )
-    json_text = _emit_json(
-        {
-            "metadata": metadata,
-            "points": [
-                {"beta": b, "theta_hat": t, "alpha_w": a} for b, t, a in rows
-            ],
-        }
-    )
-    svg_text = emit_svg([(b, a) for b, _, a in rows])
-    bundle = ReportBundle(csv=csv_text, json=json_text, svg=svg_text, metadata=metadata)
-    _write_outputs(args, bundle, stdout_kind="csv")
-    return 0, bundle
 
 
-def _cmd_tau(args) -> tuple[int, ReportBundle]:
+def _cmd_tau(args) -> ReportBundle:
     regime = _regime_from(args)
     matrix = _load_matrix(args.matrix)
     n = matrix.shape[1]
@@ -331,16 +304,10 @@ def _cmd_tau(args) -> tuple[int, ReportBundle]:
 
     cert = tau_dual(matrix, pattern, regime)
     verdict = classify_nsp(matrix, pattern, regime, certificate=cert).verdict
-
-    payload = cert.json_payload(verdict)
-    json_text = _emit_json(payload)
-    metadata = {"command": "tau", "regime": regime.value, "verdict": verdict}
-    bundle = ReportBundle(csv=None, json=json_text, svg=None, metadata=metadata)
-    _write_outputs(args, bundle, stdout_kind="json")
-    return 0, bundle
+    return ReportBundle(json=_emit_json(cert.json_payload(verdict)))
 
 
-def _cmd_recover(args) -> tuple[int, ReportBundle]:
+def _cmd_recover(args) -> ReportBundle:
     regime = Regime.SIGNED if args.nonneg else Regime.GENERAL
     matrix = _load_matrix(args.matrix)
     y = _load_vector(args.y)
@@ -352,14 +319,10 @@ def _cmd_recover(args) -> tuple[int, ReportBundle]:
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
     }
-    json_text = _emit_json(payload)
-    metadata = {"command": "recover", "regime": regime.value}
-    bundle = ReportBundle(csv=None, json=json_text, svg=None, metadata=metadata)
-    _write_outputs(args, bundle, stdout_kind="json")
-    return 0, bundle
+    return ReportBundle(json=_emit_json(payload))
 
 
-def _cmd_phase(args) -> tuple[int, ReportBundle]:
+def _cmd_phase(args) -> ReportBundle:
     regime = _regime_from(args)
     alphas = _parse_grid(args.alpha_grid, "--alpha-grid")
     betas = _parse_grid(args.beta_grid, "--beta-grid")
@@ -378,12 +341,15 @@ def _cmd_phase(args) -> tuple[int, ReportBundle]:
     if not cells:
         raise ValueError("every grid cell was infeasible (k < m < n never held)")
 
-    rows = [
-        [c.alpha, c.beta, c.m, c.k, c.trials, c.successes, c.rate] for c in cells
-    ]
-    csv_text = emit_csv(
-        ["alpha", "beta", "m", "k", "trials", "successes", "rate"], rows
+    csv_text, records = _table(
+        _PHASE_COLUMNS, [[getattr(c, name) for name in _PHASE_COLUMNS] for c in cells]
     )
+    for record, c in zip(records, cells):
+        record["routes"] = c.diagnostics.routes()
+        record["solver_iterations"] = {
+            "total": c.diagnostics.iterations,
+            "max": c.diagnostics.max_iterations,
+        }
     metadata = {
         "tool": "l1weak",
         "version": _VERSION,
@@ -394,45 +360,18 @@ def _cmd_phase(args) -> tuple[int, ReportBundle]:
         "seed": grid.seed,
         "stream_order": "matrix, support, signs",
     }
-    json_text = _emit_json(
-        {
-            "metadata": metadata,
-            "cells": [
-                {
-                    "alpha": c.alpha,
-                    "beta": c.beta,
-                    "m": c.m,
-                    "k": c.k,
-                    "trials": c.trials,
-                    "successes": c.successes,
-                    "rate": c.rate,
-                    "routes": c.diagnostics.routes(),
-                    "solver_iterations": {
-                        "total": c.diagnostics.iterations,
-                        "max": c.diagnostics.max_iterations,
-                    },
-                }
-                for c in cells
-            ],
-        }
-    )
     curve_betas = [round(0.05 * i, 2) for i in range(1, 20)]
-    curve = []
-    for beta in curve_betas:
-        theta_hat = solve_theta(regime, beta)
-        curve.append((beta, theta_hat))
-    svg_text = emit_svg(curve, cells)
-    bundle = ReportBundle(csv=csv_text, json=json_text, svg=svg_text, metadata=metadata)
-    _write_outputs(args, bundle, stdout_kind="csv")
-    return 0, bundle
-
-
-def _cmd_framework(args) -> tuple[int, ReportBundle]:
-    result = run_framework(n=args.n, beta=args.beta, samples=args.samples, seed=args.seed)
-    csv_text = emit_csv(
-        ["n", "beta", "samples", "alpha_estimate", "cw_over_n"],
-        [[result.n, result.beta, result.samples, result.alpha_estimate, result.cw_over_n]],
+    curve = [(beta, solve_theta(regime, beta)) for beta in curve_betas]
+    return ReportBundle(
+        json=_emit_json({"metadata": metadata, "cells": records}),
+        csv=csv_text,
+        svg=emit_svg(curve, cells),
     )
+
+
+def _cmd_framework(args) -> ReportBundle:
+    result = run_framework(n=args.n, beta=args.beta, samples=args.samples, seed=args.seed)
+    csv_text, (record,) = _table([f.name for f in fields(result)], [astuple(result)])
     metadata = {
         "tool": "l1weak",
         "version": _VERSION,
@@ -441,24 +380,11 @@ def _cmd_framework(args) -> tuple[int, ReportBundle]:
         "head_weights": "all ones",
         "tail_sign": "subtracted, matching the dual set's fixed tail",
     }
-    json_text = _emit_json(
-        {
-            "metadata": metadata,
-            "result": {
-                "n": result.n,
-                "beta": result.beta,
-                "samples": result.samples,
-                "alpha_estimate": result.alpha_estimate,
-                "cw_over_n": result.cw_over_n,
-            },
-        }
-    )
-    bundle = ReportBundle(csv=csv_text, json=json_text, svg=None, metadata=metadata)
-    _write_outputs(args, bundle, stdout_kind="csv")
-    return 0, bundle
+    return ReportBundle(json=_emit_json({"metadata": metadata, "result": record}), csv=csv_text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l1weak",
         description=(
@@ -477,8 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_threshold.add_argument("--steps", type=int, default=None)
     p_threshold.add_argument("--signed", action="store_true")
     p_threshold.add_argument("--side", choices=["lower", "upper"], default="lower")
-    for flag in ("1c", "2c", "1m", "3m", "1g", "3g", "5g"):
-        p_threshold.add_argument(f"--eps-{flag}", type=float, default=0.0)
+    for eps in fields(EpsilonSet):  # eps1_c -> --eps-1c
+        flag = "--eps-" + eps.name.removeprefix("eps").replace("_", "")
+        p_threshold.add_argument(flag, dest=eps.name, type=float, default=eps.default)
     p_threshold.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_threshold.add_argument("--json", default=None, help="also write the JSON document here")
     p_threshold.add_argument("--svg", default=None, help="write the curve plot here")
@@ -531,19 +458,20 @@ _HANDLERS = {
 
 def dispatch(argv) -> tuple[int, ReportBundle | None]:
     """Parse argv, run the verb, write its outputs; return (code, bundle)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), None
     try:
-        return _HANDLERS[args.verb](args)
+        bundle = _HANDLERS[args.verb](args)
+        _write_outputs(args, bundle)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2, None
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
+    return 0, bundle
 
 
 def main(argv=None) -> int:

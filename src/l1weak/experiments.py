@@ -117,8 +117,6 @@ class CounterStream:
         """
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        if count == 0:
-            return np.zeros(0)
         pairs = (count + 1) // 2
         raw = self.u64_block(2 * pairs)
         # 53-bit mantissas; u1 shifted into (0, 1] so log never sees 0.

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 from scipy.optimize import linprog, nnls
 
-from .cert import _dual_certificate_holds
+from .cert import _VERDICT_TOL, _dual_certificate_holds
 from .linalg import RankDeficiencyError, _as_matrix, _as_vector, cholesky_spd, one_blas_thread
 from .threshold import Regime
 
@@ -60,8 +60,9 @@ _ADMM_MAX_ITERS = 50_000
 #: decides the trial exactly.
 _PLANTED_BUDGET = 2_048
 _DUAL_CHECK_PERIOD = 8
-#: A dual certificate needs every off-support correlation <= 1 - this margin.
-_DUAL_MARGIN = 5e-7
+#: A dual certificate needs every off-support correlation <= 1 - this margin,
+#: the head margin of ``classify_nsp``'s strict dual certificate.
+_DUAL_MARGIN = 0.5 * _VERDICT_TOL
 _CUTOFF_CHECK_PERIOD = 64
 #: Round-off margin of the primal cut below ||x0||_1.
 _CUTOFF_MARGIN = 1e-6

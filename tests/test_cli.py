@@ -1,12 +1,13 @@
 """Unit tests for the command-line interface: schemas, exit codes, routing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from l1weak.cli import dispatch, emit_csv, emit_svg, main
-from l1weak.threshold import Regime, solve_theta
+from l1weak.threshold import EpsilonSet, Regime, solve_theta
 
 
 def _write_matrix(path, a):
@@ -50,6 +51,24 @@ class TestThresholdVerb:
         base = dispatch(["threshold", "--beta", "0.3"])[1]
         slack = dispatch(["threshold", "--beta", "0.3", "--eps-1c", "0.01"])[1]
         assert base.csv != slack.csv
+
+    @pytest.mark.parametrize(
+        ("flag", "field"),
+        [
+            ("--eps-1c", "eps1_c"),
+            ("--eps-2c", "eps2_c"),
+            ("--eps-1m", "eps1_m"),
+            ("--eps-3m", "eps3_m"),
+            ("--eps-1g", "eps1_g"),
+            ("--eps-3g", "eps3_g"),
+            ("--eps-5g", "eps5_g"),
+        ],
+    )
+    def test_each_eps_flag_sets_its_own_field(self, flag, field):
+        code, bundle = dispatch(["threshold", "--beta", "0.3", flag, "0.01"])
+        assert code == 0
+        expected = dataclasses.asdict(EpsilonSet(**{field: 0.01}))
+        assert json.loads(bundle.json)["metadata"]["eps"] == expected
 
     def test_csv_round_trips_through_repr(self):
         bundle = dispatch(["threshold", "--beta", "0.3"])[1]
@@ -303,7 +322,6 @@ class TestPhaseVerb:
 
     def test_metadata_excludes_threads(self, tmp_path):
         _, bundle, _ = self._run(tmp_path)
-        assert "threads" not in bundle.metadata
         assert "threads" not in bundle.json
 
     def test_bad_grid_syntax(self, tmp_path):

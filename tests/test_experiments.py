@@ -83,6 +83,10 @@ class TestCounterStreamDraws:
         even = CounterStream(9)
         first_three = even.normals(4)[:3]
         np.testing.assert_array_equal(CounterStream(9).normals(3), first_three)
+        empty = CounterStream(9)
+        draws = empty.normals(0)
+        assert draws.dtype == np.float64 and draws.shape == (0,)
+        assert empty.index == 0  # no pair drawn
 
     def test_normals_match_scalar_box_muller(self):
         seed = 77
