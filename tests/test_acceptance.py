@@ -8,8 +8,10 @@ Runtime ceilings are asserted where a guarantee states one.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from l1weak.cert import (
     CERTIFIED_FAILURE,
@@ -193,36 +195,66 @@ def test_criterion_4_theorem_end_to_end():
     assert ok
 
 
-def test_criterion_5_phase_transition():
+#: Seed-11 criterion-5 outcomes per (regime, beta): successes per alpha cell,
+#: trials per route, and solver iterations summed over the grid.  Routes and
+#: iterations move with solver changes that cannot move a tally (the ADMM
+#: penalty, the check periods); such a change re-freezes them here.
+CRITERION_5_OUTCOMES = {
+    (Regime.GENERAL, 0.15): (
+        [3, 29, 112, 184, 199], {"dual": 526, "cut": 472, "exact": 2, "tie": 0}, 54496
+    ),
+    (Regime.GENERAL, 0.25): (
+        [8, 47, 100, 174, 199], {"dual": 528, "cut": 471, "exact": 1, "tie": 0}, 55712
+    ),
+    (Regime.SIGNED, 0.15): (
+        [0, 35, 115, 185, 200], {"dual": 534, "cut": 454, "exact": 12, "tie": 0}, 151672
+    ),
+    (Regime.SIGNED, 0.25): (
+        [2, 40, 111, 190, 199], {"dual": 542, "cut": 447, "exact": 11, "tie": 0}, 156592
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_5_grids():
+    """The four seed-11 n = 200 grids around alpha_w, run once for the module.
+
+    Returns ({(regime, beta): (alpha_w, cells)}, seconds taken).
+    """
     start = time.perf_counter()
     offsets = (-0.07, -0.035, 0.0, 0.035, 0.07)
-    lowest_hi = 1.0
-    highest_lo = 0.0
-    worst_est = 0.0
-    details = []
+    grids = {}
     for regime in REGIMES:
         for beta in (0.15, 0.25):
             target = alpha_w(regime, beta).alpha
-            alphas = tuple(target + off for off in offsets)
             grid = PhaseGrid(
                 n=200,
-                alphas=alphas,
+                alphas=tuple(target + off for off in offsets),
                 betas=(beta,),
                 trials_per_cell=200,
                 seed=11,
                 regime=regime,
             )
-            cells = run_phase_grid(grid, threads=0)
-            rate_lo, rate_hi = cells[0].rate, cells[-1].rate
-            estimate = estimate_transition(cells)
-            lowest_hi = min(lowest_hi, rate_hi)
-            highest_lo = max(highest_lo, rate_lo)
-            worst_est = max(worst_est, abs(estimate - target))
-            details.append(
-                f"{regime.value}/beta={beta}: rates {rate_lo:.3f}->{rate_hi:.3f}, "
-                f"|est-alpha_w|={abs(estimate - target):.4f}"
-            )
-    elapsed = time.perf_counter() - start
+            grids[regime, beta] = (target, run_phase_grid(grid, threads=0))
+    return grids, time.perf_counter() - start
+
+
+def test_criterion_5_phase_transition(criterion_5_grids):
+    grids, elapsed = criterion_5_grids
+    lowest_hi = 1.0
+    highest_lo = 0.0
+    worst_est = 0.0
+    details = []
+    for (regime, beta), (target, cells) in grids.items():
+        rate_lo, rate_hi = cells[0].rate, cells[-1].rate
+        estimate = estimate_transition(cells)
+        lowest_hi = min(lowest_hi, rate_hi)
+        highest_lo = max(highest_lo, rate_lo)
+        worst_est = max(worst_est, abs(estimate - target))
+        details.append(
+            f"{regime.value}/beta={beta}: rates {rate_lo:.3f}->{rate_hi:.3f}, "
+            f"|est-alpha_w|={abs(estimate - target):.4f}"
+        )
     ok = (
         lowest_hi >= 0.85
         and highest_lo <= 0.15
@@ -238,6 +270,21 @@ def test_criterion_5_phase_transition():
         f"{elapsed:.0f}s < 1200s [" + "; ".join(details) + "]",
     )
     assert ok
+
+
+@pytest.mark.parametrize(
+    "key", list(CRITERION_5_OUTCOMES), ids=lambda key: f"{key[0].value}-{key[1]}"
+)
+def test_criterion_5_seed_11_outcomes_are_pinned(criterion_5_grids, key):
+    # The same grids as criterion 5: a change that claims the same outcomes
+    # must reproduce every tally, route count and iteration total exactly.
+    _, cells = criterion_5_grids[0][key]
+    routes = Counter()
+    for cell in cells:
+        routes.update(cell.diagnostics.routes())
+    tallies = [cell.successes for cell in cells]
+    iterations = sum(cell.diagnostics.iterations for cell in cells)
+    assert (tallies, dict(routes), iterations) == CRITERION_5_OUTCOMES[key]
 
 
 def test_criterion_6_framework_consistency():

@@ -166,13 +166,6 @@ class TestTauHandCases:
         assert verdict.verdict == CERTIFIED_SUCCESS
         assert abs(verdict.tau) <= 1e-9
 
-    def test_square_invertible_is_success(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        pattern = SupportPattern(n=2, support=(0,), signs=(1,))
-        verdict = classify_nsp(a, pattern, Regime.GENERAL)
-        assert verdict.verdict == CERTIFIED_SUCCESS
-        assert verdict.tau == 0.0
-
     def test_wide_random_failure(self):
         # One measurement for 8 unknowns: failure is certain, and the
         # witness must certify it.
@@ -405,11 +398,15 @@ class TestCounterexample:
 
 
 class TestScaleLimits:
-    def test_oracle_rejects_m_not_below_n(self):
-        a = np.eye(3)
+    @pytest.mark.parametrize("operation", [tau_dual, tau_primal_oracle, classify_nsp])
+    @pytest.mark.parametrize("m", [3, 4], ids=["square", "tall"])
+    def test_rejects_m_not_below_n(self, operation, m):
+        # Every operation that solves for tau needs a nontrivial null space,
+        # and the error names the operation the caller reached.
+        a = np.random.default_rng(m).standard_normal((m, 3))
         pattern = SupportPattern(n=3, support=(0,), signs=(1,))
-        with pytest.raises(ValueError):
-            tau_primal_oracle(a, pattern, Regime.GENERAL)
+        with pytest.raises(ValueError, match=rf"^{operation.__name__} requires m < n"):
+            operation(a, pattern, Regime.GENERAL)
 
 
 class TestClassify:
@@ -438,8 +435,11 @@ class TestClassify:
         }
 
     def test_failure_witness_is_rechecked(self):
-        # Each tampered certificate keeps tau < -tol and converged; only its
-        # witness is wrong, so the verdict must fall back to inconclusive.
+        # Each tampered certificate keeps tau < -tol and converged; either
+        # its witness or another of its claims is wrong, so the verdict must
+        # fall back to inconclusive.  The last three keep a valid witness:
+        # only verify_certificate's objective, box and dual-distance checks
+        # catch them.
         a, pattern = _random_instance(33, Regime.GENERAL)
         cert = tau_dual(a, pattern, Regime.GENERAL)
         assert classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict == CERTIFIED_FAILURE
@@ -448,9 +448,12 @@ class TestClassify:
         off_null = dataclasses.replace(cert, w_witness=w / np.linalg.norm(w))
         ascent = dataclasses.replace(cert, w_witness=-cert.w_witness)
         assert nullspace_objective(ascent.w_witness, pattern, Regime.GENERAL) > 0.0
-        for broken in (off_null, ascent):
+        lower_tau = dataclasses.replace(cert, tau=cert.tau - 0.25)
+        double_z = dataclasses.replace(cert, z_witness=2.0 * cert.z_witness)
+        double_nu = dataclasses.replace(cert, nu_witness=2.0 * cert.nu_witness)
+        for broken in (off_null, ascent, lower_tau, double_z, double_nu):
             verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=broken)
-            assert verdict.verdict == INCONCLUSIVE and verdict.tau == cert.tau
+            assert verdict.verdict == INCONCLUSIVE and verdict.tau == broken.tau
 
         a, pattern, cert, tampered = _signed_failure_with_negative_head()
         assert classify_nsp(a, pattern, Regime.SIGNED, certificate=cert).verdict == CERTIFIED_FAILURE

@@ -1,6 +1,13 @@
-"""Smoke tests for the scripts: each runs at toy size and writes a CSV."""
+"""Smoke tests for the scripts and the README quick start.
 
+Each script runs at toy size and writes a CSV; the README's first two
+quick-start blocks run as written and must print what their comments say.
+"""
+
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +44,23 @@ def test_script_writes_csv(tmp_path, argv):
     assert result.returncode == 0, result.stderr
     lines = out.read_text().strip().splitlines()
     assert len(lines) >= 2, out.read_text()
+
+
+def _readme_python_blocks():
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["threshold", "certificate"])
+def test_readme_quick_start_prints_its_comments(index):
+    # The third block is a 500-trial grid whose comment gives "~0.83", not
+    # the printed value, so it stays out.
+    block = _readme_python_blocks()[index]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(block, f"README.md python block {index + 1}", "exec"), {})
+    printed = stdout.getvalue().splitlines()
+    comments = re.findall(r"# (.*)$", block, flags=re.MULTILINE)
+    assert printed
+    for line in printed:
+        assert any(comment.startswith(line) for comment in comments), (line, comments)
