@@ -22,7 +22,6 @@ from .cert import (
     NspVerdict,
     SupportPattern,
     TauCertificate,
-    canonicalize,
     classify_nsp,
     construct_counterexample,
     nullspace_objective,
@@ -94,7 +93,6 @@ __all__ = [
     "CERTIFIED_FAILURE",
     "CERTIFIED_SUCCESS",
     "INCONCLUSIVE",
-    "canonicalize",
     "nullspace_objective",
     "tau_dual",
     "tau_primal_oracle",

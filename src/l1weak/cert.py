@@ -8,10 +8,10 @@ number
     tau(A) = min { phi(w) : w in null(A), ||w||_2 <= 1 }
 
 decides it, where phi is the pattern's null-space functional (head = off
-support, tail = support, after canonicalization):
+support, tail = support, s = the pattern's signs):
 
-- general regime:  phi(w) = sum(|w_head|) - sum(w_tail), w free;
-- signed  regime:  phi(w) = sum(w_head) + sum(w_tail),   w_head >= 0.
+- general regime:  phi(w) = sum(|w_head|) + sum(s * w_tail), w free;
+- signed  regime:  phi(w) = sum(w_head) + sum(w_tail),       w_head >= 0.
 
 tau < 0 exhibits a null vector that defeats recovery (and
 :func:`construct_counterexample` turns it into a concrete sparse vector the
@@ -60,14 +60,12 @@ from .threshold import Regime
 
 __all__ = [
     "SupportPattern",
-    "Canonicalization",
     "TauCertificate",
     "NspVerdict",
     "CertificateCheck",
     "CERTIFIED_FAILURE",
     "CERTIFIED_SUCCESS",
     "INCONCLUSIVE",
-    "canonicalize",
     "nullspace_objective",
     "tau_dual",
     "tau_primal_oracle",
@@ -100,9 +98,6 @@ _CONE_TOL = 1e-10
 _VERDICT_TOL = 1e-6
 #: :func:`construct_counterexample` needs phi(w) below -this.
 _COUNTEREXAMPLE_TOL = 1e-9
-#: Canonical tail value of the dual point z: the support coordinates are
-#: pinned at -1 (general, after the sign flips) or +1 (signed).
-_TAIL_VALUE = {Regime.GENERAL: -1.0, Regime.SIGNED: 1.0}
 
 
 @dataclass(frozen=True)
@@ -164,70 +159,38 @@ def _off_support(pattern: SupportPattern) -> np.ndarray:
     return np.setdiff1d(np.arange(pattern.n), pattern.support)
 
 
-@dataclass(frozen=True)
-class Canonicalization:
-    """Signed permutation to the canonical coordinate layout.
-
-    Canonical coordinate ``j`` corresponds to original coordinate ``perm[j]``;
-    the first ``head_size`` canonical coordinates are the sorted off-support
-    (head) indices, the rest the sorted support (tail).  ``flips`` is indexed
-    by ORIGINAL coordinate: column j of the canonical matrix is
-    ``flips[perm[j]] * A[:, perm[j]]``, and vectors map the same way.  In the
-    canonical layout the support entries are non-positive (general regime)
-    or nonnegative (signed regime), so the null-space functional is always
-    sum(|w_head|) - sum(w_tail) or sum(w_head) + sum(w_tail) respectively.
-    """
-
-    perm: np.ndarray
-    flips: np.ndarray
-    head_size: int
-
-    def apply_matrix(self, a: np.ndarray) -> np.ndarray:
-        return a[:, self.perm] * self.flips[self.perm][np.newaxis, :]
-
-    def to_original(self, v_canon: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v_canon)
-        out[self.perm] = self.flips[self.perm] * v_canon
-        return out
-
-
-def canonicalize(pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Canonicalization:
-    """Permutation + sign flips placing the pattern in the canonical layout.
-
-    Applying the result to the columns of a matrix with i.i.d. symmetric
-    entries preserves its distribution, so certificates computed before and
-    after canonicalization agree (the tests assert this to 1e-10).
-    """
-    regime = Regime.coerce(regime)
-    _check_pattern(pattern, regime, pattern.n)
-    head = _off_support(pattern)
-    perm = np.concatenate([head, np.sort(pattern.support)]).astype(np.intp)
-    flips = np.ones(pattern.n)
-    if regime is Regime.GENERAL:
-        flips[list(pattern.support)] = -np.array(pattern.signs, dtype=float)
-    return Canonicalization(perm=perm, flips=flips, head_size=head.size)
-
-
 def _canonical(
     A, pattern: SupportPattern, regime: Regime, operation: str
-) -> tuple[Regime, np.ndarray, Canonicalization, np.ndarray]:
-    """Validate (A, pattern, regime) for ``operation`` and canonicalize.
+) -> tuple[Regime, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate (A, pattern, regime) for ``operation`` and order the columns head first.
 
-    Returns the coerced regime, A as a float matrix, the
-    :class:`Canonicalization` and the canonical matrix B.  Every operation
-    that solves for tau requires m < n, and the error names ``operation``.
+    Returns the coerced regime, A as a float matrix, the column order (the
+    off-support indices ascending, then the support as the pattern lists
+    it) and B = A[:, order], whose tail columns carry the pattern's signs in
+    order.  Every operation that solves for tau requires m < n, and the
+    error names ``operation``.
     """
     regime = Regime.coerce(regime)
     a = _as_matrix("A", A)
     if a.shape[0] >= a.shape[1]:
         raise ValueError(f"{operation} requires m < n, got shape {a.shape}")
     _check_pattern(pattern, regime, a.shape[1])
-    canon = canonicalize(pattern, regime)
-    return regime, a, canon, canon.apply_matrix(a)
+    # The head comes first because the QR of B^T keeps this row order, and
+    # the active set of _box_lsq_refine responds to its roundoff: in A's own
+    # column order 10 of 3,000 badly scaled instances changed verdict.
+    order = np.concatenate([_off_support(pattern), pattern.support]).astype(np.intp)
+    return regime, a, order, a[:, order]
+
+
+def _in_a_order(order: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Map a vector indexed like the columns of B = A[:, order] back to A's columns."""
+    out = np.empty_like(v)
+    out[order] = v
+    return out
 
 
 def nullspace_objective(w, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> float:
-    """The pattern's null-space functional phi(w), in original coordinates.
+    """The pattern's null-space functional phi(w), w indexed like A's columns.
 
     general: sum of |w_i| off support plus sum of sign_i * w_i on support;
     signed:  plain sum of all coordinates (the nonnegativity of the head is
@@ -251,7 +214,7 @@ def _leaves_signed_cone(w: np.ndarray, pattern: SupportPattern) -> bool:
 class TauCertificate:
     """tau(A) with its dual witnesses (z, nu), primal witness w, diagnostics.
 
-    All witnesses are in ORIGINAL coordinates.  ``w_witness`` is a unit
+    z and w are indexed like A's columns.  ``w_witness`` is a unit
     vector lying in null(A) to machine precision (it is the normalized
     displacement from z to its projection, expanded in the orthonormal
     null-space basis of the QR of A^T); it is None when the dual distance is below
@@ -296,46 +259,23 @@ class NspVerdict:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def _dual_slack_exact(
-    null: np.ndarray,
-    head_size: int,
-    regime: Regime,
-    tail_value: float,
-) -> np.ndarray | None:
+def _dual_slack_exact(null: np.ndarray, tail: np.ndarray, regime: Regime) -> np.ndarray | None:
     """Exact dual optimum via bound-constrained least squares on box slacks.
 
+    ``null`` is an orthonormal null-space basis N of B (its rows in B's
+    column order) and ``tail`` the values the support coordinates are pinned
+    at: the pattern's signs, or those scaled in :func:`_strict_dual_certificate`.
     Writing z = anchor - E s with the anchor's head coordinates at the upper
-    box bound (+1), the tail pinned at ``tail_value``, and slacks s in
-    [0, 2] (general) or [0, inf) (signed), the distance from z to range(A^T)
-    is ||N^T z|| for the orthonormal null-space basis N (the columns of
-    ``null``), so the dual distance problem is
-    min ||N_head^T s - N^T anchor|| over the slack bounds, with N_head the
-    head rows of N.  One compiled Lawson-Hanson NNLS solve seeds the active
-    sets of both regimes; in the general regime it runs on the split box
-    s, t >= 0 with the rows gamma (s + t) = 2 gamma stacked under N_head^T,
-    i.e. [[N_head^T, 0], [gamma I, gamma I]] [s; t] ~ [N^T anchor; 2 gamma 1],
-    and s is clipped to [0, 2].  :func:`_box_lsq_refine` then accepts only
-    machine-level KKT residuals of the true box problem, so the seed sets
-    the speed but never the answer.  Returns z, or None if the refinement
-    budget is exhausted.
+    box bound (+1), the tail at ``tail``, and slacks s in [0, 2] (general) or
+    [0, inf) (signed), the distance from z to range(B^T) is ||N^T z||, so the
+    dual distance problem is min ||N_head^T s - N^T anchor|| over the slack
+    bounds, with N_head the head rows of N, which :func:`_box_lsq` solves.
+    Returns z, or None if the refinement budget is exhausted.
     """
-    anchor = np.ones(null.shape[0])
-    anchor[head_size:] = tail_value
-    system = null[:head_size].T
-    target = null.T @ anchor
-    seed_system, seed_target = system, target
-    if regime is Regime.GENERAL:
-        upper = 2.0
-        split = _SPLIT_WEIGHT * np.eye(head_size)
-        seed_system = np.block([[system, np.zeros_like(system)], [split, split]])
-        seed_target = np.concatenate([target, np.full(head_size, upper * _SPLIT_WEIGHT)])
-    else:
-        upper = math.inf
-    try:
-        seed = _nnls(seed_system, seed_target)[0][:head_size]
-    except RuntimeError:
-        seed = np.zeros(head_size)
-    slack = _box_lsq_refine(system, target, upper, seed)
+    head_size = null.shape[0] - tail.size
+    anchor = np.concatenate([np.ones(head_size), tail])
+    upper = 2.0 if regime is Regime.GENERAL else math.inf
+    slack = _box_lsq(null[:head_size].T, null.T @ anchor, upper)
     if slack is None:
         return None
     anchor[:head_size] -= slack
@@ -372,33 +312,33 @@ def _dual_stationary(z: np.ndarray, residual: np.ndarray, head_size: int, regime
 def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> TauCertificate:
     """tau(A) via its dual form: minus the distance from a box slice to range(A^T).
 
-    One :class:`RowspaceProjector` of the canonical matrix B, a complete QR
-    of B^T = [Q1 | N] [R; 0], serves the whole solve.  The exact slack-form
-    solve (:func:`_dual_slack_exact`) works over the null-space basis N and
-    gives the nearest point z of the box slice Z (head coordinates in
-    [-1, 1] general / (-inf, 1] signed, tail pinned at the pattern sign).
-    The residual z - P z = N N^T z gives tau = -||N^T z|| and the witness
-    w = -N N^T z / ||N^T z||, which lies in null(A) by construction (in the
-    signed regime a converged w has its head roundoff below 0 clipped and is
-    renormalized), and R
-    gives the row weights nu of P z = B^T nu.  The ``converged`` flag is the
-    KKT stationarity of z and its residual (:func:`_dual_stationary`).
-    When the slack solve runs out of
-    its refinement budget, the anchor point (head at +1, tail pinned) is
-    reported with ``converged`` False, which :func:`classify_nsp` turns
-    into an inconclusive verdict.
+    The solve works on B = A[:, order], the off-support (head) columns
+    first (:func:`_canonical`).  One :class:`RowspaceProjector` of B, a
+    complete QR of B^T = [Q1 | N] [R; 0], serves the whole solve.  The exact
+    slack-form solve (:func:`_dual_slack_exact`) works over the null-space
+    basis N and gives the nearest point z of the box slice Z (head
+    coordinates in [-1, 1] general / (-inf, 1] signed, tail pinned at the
+    pattern's signs).  The residual z - P z = N N^T z gives tau = -||N^T z||
+    and the witness w = -N N^T z / ||N^T z||, which lies in null(A) by
+    construction (in the signed regime a converged w has its head roundoff
+    below 0 clipped and is renormalized), and R gives the row weights nu of
+    P z = B^T nu.  The ``converged`` flag is the KKT stationarity of z and
+    its residual (:func:`_dual_stationary`).  When the slack solve runs out
+    of its refinement budget, the anchor point (head at +1, tail at the
+    signs) is reported with ``converged`` False, which :func:`classify_nsp`
+    turns into an inconclusive verdict.  z and w are reported in A's column
+    order.
     """
-    regime, _, canon, b = _canonical(A, pattern, regime, "tau_dual")
+    regime, _, order, b = _canonical(A, pattern, regime, "tau_dual")
     projector = RowspaceProjector(b)
     null = projector._null
-    head_size = canon.head_size
-    tail_value = _TAIL_VALUE[regime]
+    signs = np.array(pattern.signs, dtype=float)
+    head_size = pattern.n - pattern.k
 
-    z = _dual_slack_exact(null, head_size, regime, tail_value)
+    z = _dual_slack_exact(null, signs, regime)
     finished = z is not None
     if not finished:
-        z = np.ones(b.shape[1])
-        z[head_size:] = tail_value
+        z = np.concatenate([np.ones(head_size), signs])
 
     nu = projector.coefficients(z)
     residual = null @ (null.T @ z)
@@ -406,7 +346,7 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     tau = -d
     converged = finished and _dual_stationary(z, residual, head_size, regime)
 
-    w_orig: np.ndarray | None = None
+    w_a: np.ndarray | None = None
     gap = abs(tau)
     if d > _WITNESS_MIN_DISTANCE:
         w = -residual / d
@@ -415,13 +355,13 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
             # moves w off null(A), which verify_certificate still rejects).
             np.maximum(w[:head_size], 0.0, out=w[:head_size])
             w /= np.linalg.norm(w)
-        w_orig = canon.to_original(w)
-        gap = abs(tau - nullspace_objective(w_orig, pattern, regime))
+        w_a = _in_a_order(order, w)
+        gap = abs(tau - nullspace_objective(w_a, pattern, regime))
     return TauCertificate(
         tau=tau,
-        z_witness=canon.to_original(z),
+        z_witness=_in_a_order(order, z),
         nu_witness=nu,
-        w_witness=w_orig,
+        w_witness=w_a,
         iterations=0,
         converged=converged,
         gap=gap,
@@ -442,6 +382,32 @@ def _basis_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.zeros(matrix.shape[1])
     rcond = max(_BASIS_RCOND / scale, np.finfo(float).eps * max(matrix.shape))
     return np.linalg.lstsq(matrix, rhs, rcond=rcond)[0]
+
+
+def _box_lsq(system: np.ndarray, target: np.ndarray, upper: float) -> np.ndarray | None:
+    """0 <= s <= upper minimizing ||system @ s - target||, to exact KKT, or None.
+
+    One compiled Lawson-Hanson NNLS solve seeds the active set.  With a
+    finite ``upper`` it runs on the split box s, t >= 0 with the rows
+    gamma (s + t) = gamma upper stacked under ``system``, i.e.
+    [[system, 0], [gamma I, gamma I]] [s; t] ~ [target; gamma upper 1], and
+    keeps s; when NNLS raises, the seed is zero.  :func:`_box_lsq_refine`
+    then accepts only machine-level KKT residuals of the true box problem,
+    so the seed sets the speed but never the answer.  ``system`` is a block
+    of an orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
+    Returns None if the refinement budget is exhausted.
+    """
+    size = system.shape[1]
+    seed_system, seed_target = system, target
+    if math.isfinite(upper):
+        split = _SPLIT_WEIGHT * np.eye(size)
+        seed_system = np.block([[system, np.zeros_like(system)], [split, split]])
+        seed_target = np.concatenate([target, np.full(size, upper * _SPLIT_WEIGHT)])
+    try:
+        seed = _nnls(seed_system, seed_target)[0][:size]
+    except RuntimeError:
+        seed = np.zeros(size)
+    return _box_lsq_refine(system, target, upper, seed)
 
 
 def _box_lsq_refine(
@@ -468,8 +434,7 @@ def _box_lsq_refine(
     at_lower = s <= 1e-14
     at_upper = s >= upper - 1e-14
     s = np.where(at_lower, 0.0, s)
-    if math.isfinite(upper):
-        s = np.where(at_upper, upper, s)
+    s = np.where(at_upper, upper, s)
     free = ~(at_lower | at_upper)
     for _ in range(10 * r + 100):
         # Solve exactly on the free set, stepping back toward the previous
@@ -494,9 +459,8 @@ def _box_lsq_refine(
             hit = steps <= alpha + 1e-15
             s[cols[hit & below]] = 0.0
             at_lower[cols[hit & below]] = True
-            if math.isfinite(upper):
-                s[cols[hit & above]] = upper
-                at_upper[cols[hit & above]] = True
+            s[cols[hit & above]] = upper
+            at_upper[cols[hit & above]] = True
             free = ~(at_lower | at_upper)
         gradient = m_mat.T @ (m_mat @ s - rhs)
         viol_lower = at_lower & (gradient < -tol)
@@ -519,19 +483,15 @@ def _cone_linear_minimum(basis: np.ndarray, cone_rows: int, c: np.ndarray) -> np
     Euclidean projection (Moreau decomposition: for x in K with ||x|| <= 1,
     <-c, x> <= <P_K(-c), x> <= ||P_K(-c)||, attained at the normalized
     projection).  In basis coordinates the projection QP dualizes to a
-    nonnegative least-squares problem: library NNLS provides a warm start
-    and :func:`_box_lsq_refine` drives it to machine-precision KKT
-    residuals.  Returns the unit-norm minimizer, or None when the
-    projection is (numerically) zero — the ball minimum is then 0 and the
-    sphere minimum is nonnegative, which this route cannot evaluate.
+    nonnegative least-squares problem, which :func:`_box_lsq` solves to
+    machine-precision KKT residuals.  Returns the unit-norm minimizer, or
+    None when the projection is (numerically) zero — the ball minimum is
+    then 0 and the sphere minimum is nonnegative, which this route cannot
+    evaluate.
     """
     q = -(basis.T @ c)
     h_t = np.ascontiguousarray(basis[:cone_rows, :].T)
-    try:
-        seed, _ = _nnls(h_t, -q)
-    except RuntimeError:
-        seed = np.zeros(cone_rows)
-    multipliers = _box_lsq_refine(h_t, -q, math.inf, seed)
+    multipliers = _box_lsq(h_t, -q, math.inf)
     if multipliers is None:
         return None
     v_star = q + h_t @ multipliers
@@ -544,32 +504,31 @@ def _cone_linear_minimum(basis: np.ndarray, cone_rows: int, c: np.ndarray) -> np
     return x
 
 
-def _descent_minimum_exact(
-    a_canon: np.ndarray, basis: np.ndarray, head_size: int, regime: Regime
-) -> np.ndarray | None:
-    """Unit canonical null vector minimizing the functional, or None.
+def _descent_minimum_exact(b: np.ndarray, signs: np.ndarray, regime: Regime) -> np.ndarray | None:
+    """Unit null vector of B minimizing the functional, or None.
 
-    Both regimes restrict a convex problem to the unit ball: the signed
-    functional is already linear on the cone null(A) ∩ {w_head >= 0}, and
-    the general functional becomes linear after splitting each head
-    coordinate into positive and negative parts p - q with p, q >= 0
-    (shrinking any overlap min(p_i, q_i) > 0 strictly decreases both the
-    objective and the norm, so optima are overlap-free and the lifted
-    problem has the same value).  Either way the minimum is a cone-linear
-    minimum handled by :func:`_cone_linear_minimum`.  None means that no
-    descending null direction was found; otherwise the caller evaluates
-    the functional at the returned vector (``basis`` spans null(a_canon)).
+    B's head columns come first and its tail columns carry ``signs``, so
+    the functional is sum(|w_head|) + signs . w_tail (general) or sum(w)
+    (signed, with w_head >= 0).  Both regimes restrict a convex problem to
+    the unit ball: the signed functional is already linear on the cone
+    null(B) ∩ {w_head >= 0}, and the general functional becomes linear
+    after splitting each head coordinate into positive and negative parts
+    p - q with p, q >= 0 (shrinking any overlap min(p_i, q_i) > 0 strictly
+    decreases both the objective and the norm, so optima are overlap-free
+    and the lifted problem [B_head, -B_head, B_tail] with costs
+    [1, 1, signs] has the same value).  Either way the minimum is a
+    cone-linear minimum handled by :func:`_cone_linear_minimum` over an
+    orthonormal null-space basis.  None means that no descending null
+    direction was found; otherwise the caller evaluates the functional at
+    the returned vector, which is in B's column order.
     """
-    n = a_canon.shape[1]
+    n = b.shape[1]
+    head_size = n - signs.size
     if regime is Regime.SIGNED:
-        return _cone_linear_minimum(basis, head_size, np.ones(n))
-    tail = n - head_size
-    lifted = np.concatenate(
-        [a_canon[:, :head_size], -a_canon[:, :head_size], a_canon[:, head_size:]], axis=1
-    )
-    lifted_basis = nullspace_basis(lifted)
-    c = np.concatenate([np.ones(2 * head_size), -np.ones(tail)])
-    x = _cone_linear_minimum(lifted_basis, 2 * head_size, c)
+        return _cone_linear_minimum(nullspace_basis(b), head_size, np.ones(n))
+    lifted = np.concatenate([b[:, :head_size], -b[:, :head_size], b[:, head_size:]], axis=1)
+    c = np.concatenate([np.ones(2 * head_size), signs])
+    x = _cone_linear_minimum(nullspace_basis(lifted), 2 * head_size, c)
     if x is None:
         return None
     w = np.concatenate([x[:head_size] - x[head_size : 2 * head_size], x[2 * head_size :]])
@@ -585,48 +544,47 @@ def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERA
 
     By 1-homogeneity the ball minimum is min(0, sphere minimum).  A negative
     sphere minimum is a convex problem over the ball, which
-    :func:`_descent_minimum_exact` solves exactly over an orthonormal
-    null-space basis.  Its unit null vector is mapped back to the original
-    coordinates and :func:`nullspace_objective` evaluates it, the same
-    functional :func:`tau_dual` reports; when no descending null direction
-    is found the ball minimum is 0.  Requires m < n.
+    :func:`_descent_minimum_exact` solves exactly on B = A[:, order] (head
+    columns first, :func:`_canonical`).  Its unit null vector is mapped
+    back to A's column order and :func:`nullspace_objective` evaluates it,
+    the same functional :func:`tau_dual` reports; when no descending null
+    direction is found the ball minimum is 0.  Requires m < n.
     """
-    regime, _, canon, b = _canonical(A, pattern, regime, "tau_primal_oracle")
-    w = _descent_minimum_exact(b, nullspace_basis(b), canon.head_size, regime)
+    regime, _, order, b = _canonical(A, pattern, regime, "tau_primal_oracle")
+    w = _descent_minimum_exact(b, np.array(pattern.signs, dtype=float), regime)
     if w is None:
         return 0.0
-    return min(0.0, nullspace_objective(canon.to_original(w), pattern, regime))
+    return min(0.0, nullspace_objective(_in_a_order(order, w), pattern, regime))
 
 
-def _strict_dual_certificate(b: np.ndarray, head_size: int, regime: Regime) -> bool:
-    """Strict dual certificate of success, in canonical coordinates.
+def _strict_dual_certificate(b: np.ndarray, signs: np.ndarray, regime: Regime) -> bool:
+    """Strict dual certificate of success for B = A[:, order], head columns first.
 
     The pattern is recovered for every vector on it iff the tail columns
-    B_S are injective and some nu has B_S^T nu = tail value with head
+    B_S are injective and some nu has B_S^T nu = signs with head
     correlations B_{S^c}^T nu below 1 in absolute value (signed regime:
     from above).  range(B^T) is a subspace, so the head box shrunk to
-    +-(1 - tol) meets it iff the slice with the tail scaled by 1/(1 - tol)
-    does: the exact slack solve of that slice gives z, then
-    nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = tail value
+    +-(1 - tol) meets it iff the slice with the tail pinned at
+    signs / (1 - tol) does: the exact slack solve of that slice gives z,
+    then nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = signs
     through the Cholesky factor of B_S^T B_S.  Success is decided on that
     final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`;
     tol is the verdict tolerance ``_VERDICT_TOL``.
     """
-    tail = slice(head_size, None)
+    tail = slice(b.shape[1] - signs.size, None)
     b_tail = b[:, tail]
     try:
         lower = cholesky_spd(b_tail.T @ b_tail)
     except RankDeficiencyError:
         return False
-    tail_value = _TAIL_VALUE[regime]
     projector = RowspaceProjector(b)
-    z = _dual_slack_exact(projector._null, head_size, regime, tail_value / (1.0 - _VERDICT_TOL))
+    z = _dual_slack_exact(projector._null, signs / (1.0 - _VERDICT_TOL), regime)
     if z is None:
         return False
     nu = (1.0 - _VERDICT_TOL) * projector.coefficients(z)
     signed = regime is Regime.SIGNED
     bound = 1.0 - 0.5 * _VERDICT_TOL
-    return _dual_certificate_holds(b, tail, lower, nu, tail_value, signed, bound)
+    return _dual_certificate_holds(b, tail, lower, nu, signs, signed, bound)
 
 
 def _dual_certificate_holds(
@@ -678,7 +636,7 @@ def classify_nsp(
     :func:`tau_dual` does.  ``certificate`` may pass a precomputed tau_dual
     result to avoid re-solving; the verdict reports its tau.
     """
-    regime, a, canon, b = _canonical(A, pattern, regime, "classify_nsp")
+    regime, a, _, b = _canonical(A, pattern, regime, "classify_nsp")
     cert = certificate if certificate is not None else tau_dual(a, pattern, regime)
     if (
         cert.tau < -_VERDICT_TOL
@@ -687,7 +645,8 @@ def classify_nsp(
         and nullspace_objective(cert.w_witness, pattern, regime) < -_VERDICT_TOL
     ):
         return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=_VERDICT_TOL)
-    if abs(cert.tau) <= _VERDICT_TOL and _strict_dual_certificate(b, canon.head_size, regime):
+    signs = np.array(pattern.signs, dtype=float)
+    if abs(cert.tau) <= _VERDICT_TOL and _strict_dual_certificate(b, signs, regime):
         return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=_VERDICT_TOL)
     return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=_VERDICT_TOL)
 

@@ -23,14 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .cert import SupportPattern, classify_nsp, tau_dual
 from .experiments import PhaseGrid, run_framework, run_phase_grid
 from .recovery import BPProblem, solve_bp
 from .threshold import EpsilonSet, Regime, alpha_bound, solve_theta
 
 __all__ = ["ReportBundle", "UsageError", "dispatch", "main", "emit_csv", "emit_svg"]
-
-_VERSION = "0.1.0"
 
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
@@ -267,7 +266,7 @@ def _cmd_threshold(args) -> ReportBundle:
 
     metadata = {
         "tool": "l1weak",
-        "version": _VERSION,
+        "version": __version__,
         "command": "threshold",
         "regime": regime.value,
         "side": args.side,
@@ -352,7 +351,7 @@ def _cmd_phase(args) -> ReportBundle:
         }
     metadata = {
         "tool": "l1weak",
-        "version": _VERSION,
+        "version": __version__,
         "command": "phase",
         "regime": regime.value,
         "n": grid.n,
@@ -374,7 +373,7 @@ def _cmd_framework(args) -> ReportBundle:
     csv_text, (record,) = _table([f.name for f in fields(result)], [astuple(result)])
     metadata = {
         "tool": "l1weak",
-        "version": _VERSION,
+        "version": __version__,
         "command": "framework",
         "seed": int(args.seed),
         "head_weights": "all ones",

@@ -17,7 +17,6 @@ from l1weak.cert import (
     INCONCLUSIVE,
     Regime,
     SupportPattern,
-    canonicalize,
     classify_nsp,
     construct_counterexample,
     nullspace_objective,
@@ -249,13 +248,27 @@ class TestCanonicalizationInvariance:
         t2 = tau_dual(a2, pattern2, regime).tau
         assert abs(t1 - t2) <= 1e-9
 
-    def test_canonicalize_shapes(self):
-        pattern = SupportPattern(n=5, support=(4, 1), signs=(-1, 1))
-        canon = canonicalize(pattern, Regime.GENERAL)
-        assert sorted(canon.perm) == list(range(5))
-        # Heads first (sorted), then the sorted support.
-        assert list(canon.perm[-2:]) == [1, 4]
-        assert set(canon.perm[:3]) == {0, 2, 3}
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_listed_support_order_does_not_matter(self, regime):
+        # The solvers order the tail as the pattern lists its support, so
+        # listing it reversed (signs alongside) changes only roundoff.
+        for seed in range(60):
+            a, pattern = _random_instance(seed, regime)
+            reordered = SupportPattern(
+                n=pattern.n, support=pattern.support[::-1], signs=pattern.signs[::-1]
+            )
+            results = []
+            for p in (pattern, reordered):
+                cert = tau_dual(a, p, regime)
+                results.append((cert, classify_nsp(a, p, regime, certificate=cert).verdict))
+            (c1, v1), (c2, v2) = results
+            assert v1 == v2, seed
+            assert abs(c1.tau - c2.tau) <= 1e-12, seed
+            np.testing.assert_allclose(c1.z_witness, c2.z_witness, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(c1.nu_witness, c2.nu_witness, rtol=0, atol=1e-10)
+            assert (c1.w_witness is None) == (c2.w_witness is None), seed
+            if c1.w_witness is not None:
+                np.testing.assert_allclose(c1.w_witness, c2.w_witness, rtol=0, atol=1e-10)
 
 
 class TestVerifyCertificate:
@@ -598,7 +611,7 @@ class TestStrictDualCertificate:
     def test_exact_slack_solve_matches_bvls_at_n200(self, seed, offset, expected):
         # General regime near the weak threshold: the slack distance must match
         # SciPy's BVLS on the same box problem, written over an orthonormal
-        # null-space basis N of the canonical matrix (||Q v|| = ||N^T v||).
+        # null-space basis N of A in A's own columns (||Q v|| = ||N^T v||).
         n, k = 200, 50
         m = int(round((alpha_w(Regime.GENERAL, k / n).alpha + offset) * n))
         rng = np.random.default_rng(seed)
@@ -609,16 +622,35 @@ class TestStrictDualCertificate:
         cert = tau_dual(a, pattern, Regime.GENERAL)
         assert cert.converged and cert.iterations == 0
 
-        canon = canonicalize(pattern, Regime.GENERAL)
-        basis = null_space(canon.apply_matrix(a))
-        head = canon.head_size
+        basis = null_space(a)
+        head = np.setdiff1d(np.arange(n), support)
         anchor = np.ones(n)
-        anchor[head:] = -1.0
-        oracle = lsq_linear(basis[:head].T, basis.T @ anchor, bounds=(0.0, 2.0), method="bvls")
-        distance = float(np.linalg.norm(basis[:head].T @ oracle.x - basis.T @ anchor))
+        anchor[list(support)] = signs
+        oracle = lsq_linear(basis[head].T, basis.T @ anchor, bounds=(0.0, 2.0), method="bvls")
+        distance = float(np.linalg.norm(basis[head].T @ oracle.x - basis.T @ anchor))
         assert abs(cert.tau + distance) <= 1e-10
 
         verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict
         assert verdict == expected
         lp_peak = _dual_certificate_lp(a, pattern, Regime.GENERAL)
         assert (verdict == CERTIFIED_SUCCESS) == (lp_peak < 1.0)
+
+
+class TestBoxLsq:
+    @pytest.mark.parametrize("upper", [2.0, np.inf], ids=["box", "nonnegative"])
+    def test_matches_bvls_on_orthonormal_blocks(self, upper):
+        # _box_lsq takes a block of rows of an orthonormal basis, transposed,
+        # as the slack and cone solves pass it; its residual must be as small
+        # as SciPy's BVLS on the same bounds.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 40))
+            basis = np.linalg.qr(rng.standard_normal((n, int(rng.integers(1, n)))))[0]
+            system = basis[: int(rng.integers(1, n))].T
+            target = basis.T @ rng.choice([-1.0, 1.0], size=n)
+            s = cert_module._box_lsq(system, target, upper)
+            assert s is not None, seed
+            assert s.min() >= 0.0 and s.max() <= upper, seed
+            oracle = lsq_linear(system, target, bounds=(0.0, upper), method="bvls")
+            residual = float(np.linalg.norm(system @ s - target))
+            assert residual <= float(np.linalg.norm(system @ oracle.x - target)) + 1e-12, seed

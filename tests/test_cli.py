@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import l1weak
 from l1weak.cli import dispatch, emit_csv, emit_svg, main
 from l1weak.threshold import EpsilonSet, Regime, solve_theta
 
@@ -382,6 +383,22 @@ class TestFrameworkVerb:
             ["framework", "--n", "100", "--beta", "0.3", "--samples", "10", "--seed", "5"]
         )
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--beta", "0.3"],
+        ["phase", "--n", "24", "--alpha-grid", "0.5:0.5:1", "--beta-grid", "0.1:0.1:1"]
+        + ["--trials", "2", "--seed", "3"],
+        ["framework", "--n", "1000", "--beta", "0.3", "--samples", "10", "--seed", "5"],
+    ],
+    ids=["threshold", "phase", "framework"],
+)
+def test_metadata_reports_package_version(argv):
+    code, bundle = dispatch(argv)
+    assert code == 0
+    assert json.loads(bundle.json)["metadata"]["version"] == l1weak.__version__
 
 
 class TestEmitters:
