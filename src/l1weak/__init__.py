@@ -26,7 +26,6 @@ from .cert import (
     construct_counterexample,
     nullspace_objective,
     tau_dual,
-    tau_primal_oracle,
     verify_certificate,
 )
 from .experiments import (
@@ -95,7 +94,6 @@ __all__ = [
     "INCONCLUSIVE",
     "nullspace_objective",
     "tau_dual",
-    "tau_primal_oracle",
     "classify_nsp",
     "construct_counterexample",
     "verify_certificate",

@@ -28,14 +28,13 @@ an exact bound-constrained least-squares solve in the box slacks over the
 null-space basis of one QR of A^T (seeded by one compiled NNLS solve,
 refined to machine-level KKT residuals); when that refinement does not
 finish, the result is reported unconverged and the verdict is
-inconclusive.  An independent primal oracle (:func:`tau_primal_oracle`,
-exact conic projection when a descending null direction exists, 0
-otherwise) cross-checks it.  :func:`verify_certificate` re-checks every
-claim a certificate makes from scratch, and :func:`classify_nsp` turns a
-certificate into a three-way verdict: failure only when
-:func:`verify_certificate` accepts the certificate, success only with the
-strict dual certificate.  Every operation that solves for tau requires
-m < n.
+inconclusive.  The tests cross-check it against an independent primal
+evaluation of tau in ``tests/oracles.py``.  :func:`verify_certificate`
+re-checks every claim a certificate makes from scratch, and
+:func:`classify_nsp` turns a certificate into a three-way verdict: failure
+only when :func:`verify_certificate` accepts the certificate, success only
+with the strict dual certificate.  Every operation that solves for tau
+requires m < n.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ from .linalg import (
     _as_matrix,
     _as_vector,
     cholesky_spd,
-    nullspace_basis,
+    # Unused here but stays bound: perfbench's tracer wraps cert.nullspace_basis by this name.
+    nullspace_basis,  # noqa: F401
     one_blas_thread,
 )
 from .threshold import Regime
@@ -68,7 +68,6 @@ __all__ = [
     "INCONCLUSIVE",
     "nullspace_objective",
     "tau_dual",
-    "tau_primal_oracle",
     "classify_nsp",
     "construct_counterexample",
     "verify_certificate",
@@ -473,88 +472,6 @@ def _box_lsq_refine(
         at_upper[release] = False
         free[release] = True
     return None
-
-
-def _cone_linear_minimum(basis: np.ndarray, cone_rows: int, c: np.ndarray) -> np.ndarray | None:
-    """Exact minimizer of c.x over {x = basis v : x[:cone_rows] >= 0, ||x|| <= 1}.
-
-    The feasible set is a convex cone K intersected with the unit ball and
-    the objective is linear, so the minimum equals -||P_K(-c)|| with P_K the
-    Euclidean projection (Moreau decomposition: for x in K with ||x|| <= 1,
-    <-c, x> <= <P_K(-c), x> <= ||P_K(-c)||, attained at the normalized
-    projection).  In basis coordinates the projection QP dualizes to a
-    nonnegative least-squares problem, which :func:`_box_lsq` solves to
-    machine-precision KKT residuals.  Returns the unit-norm minimizer, or
-    None when the projection is (numerically) zero — the ball minimum is
-    then 0 and the sphere minimum is nonnegative, which this route cannot
-    evaluate.
-    """
-    q = -(basis.T @ c)
-    h_t = np.ascontiguousarray(basis[:cone_rows, :].T)
-    multipliers = _box_lsq(h_t, -q, math.inf)
-    if multipliers is None:
-        return None
-    v_star = q + h_t @ multipliers
-    norm = float(np.linalg.norm(v_star))
-    if norm <= 1e-9:
-        return None
-    x = basis @ (v_star / norm)
-    if float(x[:cone_rows].min()) < -1e-8:
-        return None
-    return x
-
-
-def _descent_minimum_exact(b: np.ndarray, signs: np.ndarray, regime: Regime) -> np.ndarray | None:
-    """Unit null vector of B minimizing the functional, or None.
-
-    B's head columns come first and its tail columns carry ``signs``, so
-    the functional is sum(|w_head|) + signs . w_tail (general) or sum(w)
-    (signed, with w_head >= 0).  Both regimes restrict a convex problem to
-    the unit ball: the signed functional is already linear on the cone
-    null(B) ∩ {w_head >= 0}, and the general functional becomes linear
-    after splitting each head coordinate into positive and negative parts
-    p - q with p, q >= 0 (shrinking any overlap min(p_i, q_i) > 0 strictly
-    decreases both the objective and the norm, so optima are overlap-free
-    and the lifted problem [B_head, -B_head, B_tail] with costs
-    [1, 1, signs] has the same value).  Either way the minimum is a
-    cone-linear minimum handled by :func:`_cone_linear_minimum` over an
-    orthonormal null-space basis.  None means that no descending null
-    direction was found; otherwise the caller evaluates the functional at
-    the returned vector, which is in B's column order.
-    """
-    n = b.shape[1]
-    head_size = n - signs.size
-    if regime is Regime.SIGNED:
-        return _cone_linear_minimum(nullspace_basis(b), head_size, np.ones(n))
-    lifted = np.concatenate([b[:, :head_size], -b[:, :head_size], b[:, head_size:]], axis=1)
-    c = np.concatenate([np.ones(2 * head_size), signs])
-    x = _cone_linear_minimum(nullspace_basis(lifted), 2 * head_size, c)
-    if x is None:
-        return None
-    w = np.concatenate([x[:head_size] - x[head_size : 2 * head_size], x[2 * head_size :]])
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
-        return None
-    return w / norm
-
-
-@one_blas_thread
-def tau_primal_oracle(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> float:
-    """Independent primal evaluation of tau(A) over the unit ball.
-
-    By 1-homogeneity the ball minimum is min(0, sphere minimum).  A negative
-    sphere minimum is a convex problem over the ball, which
-    :func:`_descent_minimum_exact` solves exactly on B = A[:, order] (head
-    columns first, :func:`_canonical`).  Its unit null vector is mapped
-    back to A's column order and :func:`nullspace_objective` evaluates it,
-    the same functional :func:`tau_dual` reports; when no descending null
-    direction is found the ball minimum is 0.  Requires m < n.
-    """
-    regime, _, order, b = _canonical(A, pattern, regime, "tau_primal_oracle")
-    w = _descent_minimum_exact(b, np.array(pattern.signs, dtype=float), regime)
-    if w is None:
-        return 0.0
-    return min(0.0, nullspace_objective(_in_a_order(order, w), pattern, regime))
 
 
 def _strict_dual_certificate(b: np.ndarray, signs: np.ndarray, regime: Regime) -> bool:

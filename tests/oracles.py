@@ -1,16 +1,22 @@
-"""Independent high-precision oracles used to freeze expected test values.
+"""Independent oracles that the tests compare the package against.
 
-Everything here is deliberately written against mpmath arbitrary-precision
-arithmetic and avoids the package under test entirely: the error function is
-summed from its Taylor series (not math.erf), inverses are plain bisection,
-and the threshold characterizations are re-transcribed from scratch. Frozen
-constants in the unit tests carry a comment pointing back at the generating
-function here; rerun ``python tests/oracles.py`` to regenerate them.
+Nothing here imports the package under test (``tests/test_oracles.py``
+checks that).  The special functions and threshold characterizations are
+written against mpmath arbitrary-precision arithmetic: the error function
+is summed from its Taylor series (not math.erf), inverses are plain
+bisection, and the characterizations are re-transcribed from scratch.
+Frozen constants in the unit tests carry a comment pointing back at the
+generating function here; rerun ``python tests/oracles.py`` to regenerate
+them.  The certificate number tau is evaluated in double precision by
+:func:`tau_primal`, from SciPy's null space and NNLS alone.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
+from scipy.linalg import null_space
+from scipy.optimize import nnls
 
 mp.mp.dps = 60
 
@@ -163,6 +169,45 @@ def statistical_dimension_minimizer(regime: str, beta, alpha) -> mp.mpf:
     if regime == "general":
         return mp.sqrt(2) * mp.erfinv(ratio)
     return mp.sqrt(2) * mp.erfinv(2 * ratio - 1)
+
+
+#: Null-basis rows with a norm at or below this are roundoff: a null space
+#: that misses a cone coordinate puts no constraint on it.
+_CONE_ROW_CUTOFF = 1e-12
+
+
+def tau_primal(a, support, signs, regime: str) -> float:
+    """tau = min { phi(w) : A w = 0, ||w||_2 <= 1 } from its primal form.
+
+    phi is sum(|w_head|) + sum(signs * w_support) in the general regime and
+    sum(w) with w_head >= 0 in the signed one (head = off support).  Both
+    become a linear cost c.x over a cone in null(L), L the lifted matrix:
+    general [A_head, -A_head, A_S] with costs [1, 1, signs] (the head split
+    into nonnegative parts; an optimum never has both parts of a coordinate
+    positive), signed [A_head, A_S] with costs 1; the cone rows (the head,
+    both copies in the general regime) are >= 0.  Over an orthonormal basis
+    N of null(L) the minimum is -||P_K(q)|| with q = -N^T c and
+    K = {v : H v >= 0}, H the cone rows of N (Moreau decomposition), and
+    P_K(q) = q + H^T lam with lam = argmin_{lam >= 0} ||q + H^T lam||.
+    """
+    a = np.asarray(a, dtype=float)
+    head = np.setdiff1d(np.arange(a.shape[1]), support)
+    a_head, a_support = a[:, head], a[:, list(support)]
+    if regime == "general":
+        lifted = np.hstack([a_head, -a_head, a_support])
+        cost = np.concatenate([np.ones(2 * head.size), np.asarray(signs, dtype=float)])
+        cone_rows = 2 * head.size
+    else:
+        lifted = np.hstack([a_head, a_support])
+        cost = np.ones(a.shape[1])
+        cone_rows = head.size
+    basis = null_space(lifted)
+    q = -(basis.T @ cost)
+    cone = basis[:cone_rows]
+    cone = cone[np.linalg.norm(cone, axis=1) > _CONE_ROW_CUTOFF]
+    # SciPy's nnls aborts the process on a matrix with no columns.
+    v = q + cone.T @ nnls(cone.T, -q)[0] if cone.shape[0] else q
+    return -float(np.linalg.norm(v))
 
 
 def _fmt(value) -> str:

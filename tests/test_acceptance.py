@@ -20,13 +20,14 @@ from l1weak.cert import (
     classify_nsp,
     construct_counterexample,
     tau_dual,
-    tau_primal_oracle,
     verify_certificate,
 )
 from l1weak.cli import dispatch
 from l1weak.experiments import PhaseGrid, estimate_transition, run_framework, run_phase_grid
 from l1weak.recovery import BPProblem, check_recovery, simplex_reference, solve_bp
 from l1weak.threshold import Regime, alpha_bound, alpha_w, char_residual, solve_theta
+
+import oracles
 
 BETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 REGIMES = (Regime.GENERAL, Regime.SIGNED)
@@ -107,7 +108,7 @@ def test_criterion_3_certificate_duality():
             a = rng.standard_normal((m, n))
             pattern = _random_pattern(rng, n, k, regime)
             cert = tau_dual(a, pattern, regime)
-            primal = tau_primal_oracle(a, pattern, regime)
+            primal = oracles.tau_primal(a, pattern.support, pattern.signs, regime.value)
             worst = max(worst, abs(cert.tau - primal))
             if not cert.converged:
                 nonconverged += 1

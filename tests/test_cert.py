@@ -21,10 +21,11 @@ from l1weak.cert import (
     construct_counterexample,
     nullspace_objective,
     tau_dual,
-    tau_primal_oracle,
     verify_certificate,
 )
 from l1weak.threshold import alpha_w
+
+import oracles
 
 
 def _scaled_corpus(draws: int = 3000):
@@ -184,7 +185,7 @@ class TestDuality:
     def test_dual_matches_primal_oracle(self, regime, seed):
         a, pattern = _random_instance(seed, regime)
         cert = tau_dual(a, pattern, regime)
-        primal = tau_primal_oracle(a, pattern, regime)
+        primal = oracles.tau_primal(a, pattern.support, pattern.signs, regime.value)
         assert cert.converged
         assert abs(cert.tau - primal) <= 1e-8
         assert verify_certificate(a, pattern, cert, regime).ok
@@ -194,8 +195,9 @@ class TestDuality:
         # Columns 1 and 2 are +-column 0 and m = n - 2, so null(A) is
         # span{e0 - e1, e0 + e2}: it lies on the support and misses every
         # head coordinate, and tau = -||projection of 1 onto it|| = -sqrt(8/3).
-        # The head rows of the null basis are roundoff; neither solve may
-        # follow them to a runaway slack.
+        # The head rows of the null basis are roundoff: tau_dual may not
+        # follow them to a runaway slack, nor the oracle read them as cone
+        # constraints.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 30))
         a = rng.standard_normal((n - 2, n))
@@ -205,7 +207,8 @@ class TestDuality:
         cert = tau_dual(a, pattern, Regime.SIGNED)
         assert cert.converged
         assert abs(cert.tau + np.sqrt(8.0 / 3.0)) <= 1e-12
-        assert abs(tau_primal_oracle(a, pattern, Regime.SIGNED) + np.sqrt(8.0 / 3.0)) <= 1e-12
+        primal = oracles.tau_primal(a, pattern.support, pattern.signs, "signed")
+        assert abs(primal + np.sqrt(8.0 / 3.0)) <= 1e-12
         assert verify_certificate(a, pattern, cert, Regime.SIGNED)
 
     @pytest.mark.parametrize("regime", list(Regime))
@@ -213,7 +216,7 @@ class TestDuality:
         for seed in range(6, 10):
             a, pattern = _random_instance(seed, regime)
             assert tau_dual(a, pattern, regime).tau <= 1e-12
-            assert tau_primal_oracle(a, pattern, regime) <= 0.0
+            assert oracles.tau_primal(a, pattern.support, pattern.signs, regime.value) <= 0.0
 
     def test_witness_value_matches_tau(self):
         a, pattern = _random_instance(12, Regime.GENERAL)
@@ -411,7 +414,7 @@ class TestCounterexample:
 
 
 class TestScaleLimits:
-    @pytest.mark.parametrize("operation", [tau_dual, tau_primal_oracle, classify_nsp])
+    @pytest.mark.parametrize("operation", [tau_dual, classify_nsp])
     @pytest.mark.parametrize("m", [3, 4], ids=["square", "tall"])
     def test_rejects_m_not_below_n(self, operation, m):
         # Every operation that solves for tau needs a nontrivial null space,
@@ -569,7 +572,8 @@ class TestStrictDualCertificate:
         cert = tau_dual(a, pattern, Regime.SIGNED)
         assert cert.converged
         assert abs(cert.tau + 1.0 / np.sqrt(3.0)) <= 1e-12
-        assert abs(cert.tau - tau_primal_oracle(a, pattern, Regime.SIGNED)) <= 1e-8
+        primal = oracles.tau_primal(a, pattern.support, pattern.signs, "signed")
+        assert abs(cert.tau - primal) <= 1e-8
         assert verify_certificate(a, pattern, cert, Regime.SIGNED)
         verdict = classify_nsp(a, pattern, Regime.SIGNED, certificate=cert)
         assert verdict.verdict == CERTIFIED_FAILURE
@@ -584,7 +588,7 @@ class TestStrictDualCertificate:
             if verdict == INCONCLUSIVE:
                 inconclusive.append(i)
                 continue
-            oracle = tau_primal_oracle(a, pattern, regime)
+            oracle = oracles.tau_primal(a, pattern.support, pattern.signs, regime.value)
             assert (verdict == CERTIFIED_FAILURE) == (oracle < -1e-6), (i, verdict, cert.tau, oracle)
             check = verify_certificate(a, pattern, cert, regime)
             assert check, (i, check.reason)
@@ -602,7 +606,8 @@ class TestStrictDualCertificate:
         assert classify_nsp(a, pattern, regime, certificate=cert).verdict == CERTIFIED_FAILURE
         check = verify_certificate(a, pattern, cert, regime)
         assert check, check.reason
-        assert abs(cert.tau - tau_primal_oracle(a, pattern, regime)) <= 1e-8
+        primal = oracles.tau_primal(a, pattern.support, pattern.signs, regime.value)
+        assert abs(cert.tau - primal) <= 1e-8
 
     @pytest.mark.parametrize(
         ("seed", "offset", "expected"),

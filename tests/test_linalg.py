@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l1weak import cert, linalg, recovery
-from l1weak.cert import SupportPattern, classify_nsp, tau_dual, tau_primal_oracle
+from l1weak.cert import SupportPattern, classify_nsp, tau_dual
 from l1weak.linalg import (
     RankDeficiencyError,
     RowspaceProjector,
@@ -201,7 +201,6 @@ def _pinned_solver_cases():
         "solve_bp": (lambda: solve_bp(BPProblem(A=a, y=a @ x0)), recovery, "cholesky_spd"),
         "tau_dual": (lambda: tau_dual(a, pattern), cert, "_dual_slack_exact"),
         "classify_nsp": (lambda: classify_nsp(a, pattern), cert, "_strict_dual_certificate"),
-        "tau_primal_oracle": (lambda: tau_primal_oracle(a, pattern), cert, "nullspace_basis"),
     }
 
 
