@@ -28,13 +28,15 @@ an exact bound-constrained least-squares solve in the box slacks over the
 null-space basis of one QR of A^T (seeded by one compiled NNLS solve,
 refined to machine-level KKT residuals); when that refinement does not
 finish, the result is reported unconverged and the verdict is
-inconclusive.  The tests cross-check it against an independent primal
-evaluation of tau in ``tests/oracles.py``.  :func:`verify_certificate`
-re-checks every claim a certificate makes from scratch, and
-:func:`classify_nsp` turns a certificate into a three-way verdict: failure
-only when :func:`verify_certificate` accepts the certificate, success only
-with the strict dual certificate.  Every operation that solves for tau
-requires m < n.
+inconclusive.  The strict dual certificate solves the same problem with
+the tail scaled, so its slack solve starts from the tau certificate's z
+and makes no NNLS call.  The tests cross-check tau against an
+independent primal evaluation in ``tests/oracles.py``.
+:func:`verify_certificate` re-checks every claim a certificate makes from
+scratch, and :func:`classify_nsp` turns a certificate into a three-way
+verdict: failure only when :func:`verify_certificate` accepts the
+certificate, success only with the strict dual certificate.  Every
+operation that solves for tau requires m < n.
 """
 
 from __future__ import annotations
@@ -258,7 +260,9 @@ class NspVerdict:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def _dual_slack_exact(null: np.ndarray, tail: np.ndarray, regime: Regime) -> np.ndarray | None:
+def _dual_slack_exact(
+    null: np.ndarray, tail: np.ndarray, regime: Regime, start: np.ndarray | None = None
+) -> np.ndarray | None:
     """Exact dual optimum via bound-constrained least squares on box slacks.
 
     ``null`` is an orthonormal null-space basis N of B (its rows in B's
@@ -269,12 +273,18 @@ def _dual_slack_exact(null: np.ndarray, tail: np.ndarray, regime: Regime) -> np.
     [0, inf) (signed), the distance from z to range(B^T) is ||N^T z||, so the
     dual distance problem is min ||N_head^T s - N^T anchor|| over the slack
     bounds, with N_head the head rows of N, which :func:`_box_lsq` solves.
-    Returns z, or None if the refinement budget is exhausted.
+    ``start``, a point in B's column order, seeds the slack at
+    1 - start_head (:func:`_strict_dual_certificate` passes the tau
+    certificate's z); without it one compiled NNLS solve seeds it.  The
+    refinement accepts only exact KKT points either way, so the seed sets
+    the speed but never the answer.  Returns z, or None if the refinement
+    budget is exhausted.
     """
     head_size = null.shape[0] - tail.size
     anchor = np.concatenate([np.ones(head_size), tail])
     upper = 2.0 if regime is Regime.GENERAL else math.inf
-    slack = _box_lsq(null[:head_size].T, null.T @ anchor, upper)
+    seed = None if start is None else 1.0 - start[:head_size]
+    slack = _box_lsq(null[:head_size].T, null.T @ anchor, upper, seed)
     if slack is None:
         return None
     anchor[:head_size] -= slack
@@ -383,29 +393,33 @@ def _basis_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(matrix, rhs, rcond=rcond)[0]
 
 
-def _box_lsq(system: np.ndarray, target: np.ndarray, upper: float) -> np.ndarray | None:
+def _box_lsq(
+    system: np.ndarray, target: np.ndarray, upper: float, seed: np.ndarray | None = None
+) -> np.ndarray | None:
     """0 <= s <= upper minimizing ||system @ s - target||, to exact KKT, or None.
 
-    One compiled Lawson-Hanson NNLS solve seeds the active set.  With a
-    finite ``upper`` it runs on the split box s, t >= 0 with the rows
+    :func:`_box_lsq_refine` starts its active set from ``seed``.  Without
+    one, one compiled Lawson-Hanson NNLS solve gives it: with a finite
+    ``upper`` it runs on the split box s, t >= 0 with the rows
     gamma (s + t) = gamma upper stacked under ``system``, i.e.
     [[system, 0], [gamma I, gamma I]] [s; t] ~ [target; gamma upper 1], and
-    keeps s; when NNLS raises, the seed is zero.  :func:`_box_lsq_refine`
-    then accepts only machine-level KKT residuals of the true box problem,
-    so the seed sets the speed but never the answer.  ``system`` is a block
-    of an orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
+    keeps s; when NNLS raises, the seed is zero.  The refinement accepts
+    only machine-level KKT residuals of the true box problem, so the seed
+    sets the speed but never the answer.  ``system`` is a block of an
+    orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
     Returns None if the refinement budget is exhausted.
     """
-    size = system.shape[1]
-    seed_system, seed_target = system, target
-    if math.isfinite(upper):
-        split = _SPLIT_WEIGHT * np.eye(size)
-        seed_system = np.block([[system, np.zeros_like(system)], [split, split]])
-        seed_target = np.concatenate([target, np.full(size, upper * _SPLIT_WEIGHT)])
-    try:
-        seed = _nnls(seed_system, seed_target)[0][:size]
-    except RuntimeError:
-        seed = np.zeros(size)
+    if seed is None:
+        size = system.shape[1]
+        seed_system, seed_target = system, target
+        if math.isfinite(upper):
+            split = _SPLIT_WEIGHT * np.eye(size)
+            seed_system = np.block([[system, np.zeros_like(system)], [split, split]])
+            seed_target = np.concatenate([target, np.full(size, upper * _SPLIT_WEIGHT)])
+        try:
+            seed = _nnls(seed_system, seed_target)[0][:size]
+        except RuntimeError:
+            seed = np.zeros(size)
     return _box_lsq_refine(system, target, upper, seed)
 
 
@@ -474,7 +488,9 @@ def _box_lsq_refine(
     return None
 
 
-def _strict_dual_certificate(b: np.ndarray, signs: np.ndarray, regime: Regime) -> bool:
+def _strict_dual_certificate(
+    b: np.ndarray, signs: np.ndarray, regime: Regime, start: np.ndarray
+) -> bool:
     """Strict dual certificate of success for B = A[:, order], head columns first.
 
     The pattern is recovered for every vector on it iff the tail columns
@@ -482,8 +498,10 @@ def _strict_dual_certificate(b: np.ndarray, signs: np.ndarray, regime: Regime) -
     correlations B_{S^c}^T nu below 1 in absolute value (signed regime:
     from above).  range(B^T) is a subspace, so the head box shrunk to
     +-(1 - tol) meets it iff the slice with the tail pinned at
-    signs / (1 - tol) does: the exact slack solve of that slice gives z,
-    then nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = signs
+    signs / (1 - tol) does: the exact slack solve of that slice, started
+    from ``start`` (the tau certificate's z in B's column order, which
+    solves the slice with the tail at signs), gives z, then
+    nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = signs
     through the Cholesky factor of B_S^T B_S.  Success is decided on that
     final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`;
     tol is the verdict tolerance ``_VERDICT_TOL``.
@@ -495,7 +513,7 @@ def _strict_dual_certificate(b: np.ndarray, signs: np.ndarray, regime: Regime) -
     except RankDeficiencyError:
         return False
     projector = RowspaceProjector(b)
-    z = _dual_slack_exact(projector._null, signs / (1.0 - _VERDICT_TOL), regime)
+    z = _dual_slack_exact(projector._null, signs / (1.0 - _VERDICT_TOL), regime, start)
     if z is None:
         return False
     nu = (1.0 - _VERDICT_TOL) * projector.coefficients(z)
@@ -551,9 +569,13 @@ def classify_nsp(
     dual solve, a failure certificate that does not re-check, a
     non-injective A_S — is inconclusive.  Requires m < n, as
     :func:`tau_dual` does.  ``certificate`` may pass a precomputed tau_dual
-    result to avoid re-solving; the verdict reports its tau.
+    result to avoid re-solving; the verdict reports its tau.  The
+    certificate's z, supplied or computed, also seeds the strict dual
+    certificate's slack solve (it sets the speed, never the verdict); on
+    the success branch a z that is not a finite length-n vector raises
+    ValueError.
     """
-    regime, a, _, b = _canonical(A, pattern, regime, "classify_nsp")
+    regime, a, order, b = _canonical(A, pattern, regime, "classify_nsp")
     cert = certificate if certificate is not None else tau_dual(a, pattern, regime)
     if (
         cert.tau < -_VERDICT_TOL
@@ -562,9 +584,11 @@ def classify_nsp(
         and nullspace_objective(cert.w_witness, pattern, regime) < -_VERDICT_TOL
     ):
         return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=_VERDICT_TOL)
-    signs = np.array(pattern.signs, dtype=float)
-    if abs(cert.tau) <= _VERDICT_TOL and _strict_dual_certificate(b, signs, regime):
-        return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=_VERDICT_TOL)
+    if abs(cert.tau) <= _VERDICT_TOL:
+        signs = np.array(pattern.signs, dtype=float)
+        start = _as_vector("z_witness", cert.z_witness, pattern.n)[order]
+        if _strict_dual_certificate(b, signs, regime, start):
+            return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=_VERDICT_TOL)
     return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=_VERDICT_TOL)
 
 

@@ -509,18 +509,72 @@ def _dual_certificate_lp(a, pattern: SupportPattern, regime: Regime) -> float:
     return float(res.fun)
 
 
+def _success_instance(regime: Regime):
+    """A strict success: general at n = 300 (m = 150, k = 10), signed from _random_instance."""
+    if regime is Regime.SIGNED:
+        return _random_instance(0, Regime.SIGNED)
+    rng = np.random.default_rng(300)
+    n, m, k = 300, 150, 10
+    a = rng.standard_normal((m, n))
+    support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+    return a, SupportPattern(n=n, support=support, signs=signs)
+
+
 class TestStrictDualCertificate:
     def test_success_above_former_size_cap(self):
         # n = 300 lies above the n <= 200 cap of the former sphere oracle.
-        rng = np.random.default_rng(300)
-        n, m, k = 300, 150, 10
-        a = rng.standard_normal((m, n))
-        support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
-        pattern = SupportPattern(n=n, support=support, signs=signs)
+        a, pattern = _success_instance(Regime.GENERAL)
         verdict = classify_nsp(a, pattern, Regime.GENERAL)
         assert verdict.verdict == CERTIFIED_SUCCESS
         assert _dual_certificate_lp(a, pattern, Regime.GENERAL) < 1.0
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_success_certificate_makes_no_nnls_call(self, monkeypatch, regime):
+        # The tau certificate's z solves the strict certificate's box problem
+        # with the tail at the signs instead of signs / (1 - tol), so its
+        # slack seeds that solve and no compiled NNLS seed is needed.
+        a, pattern = _success_instance(regime)
+        cert = tau_dual(a, pattern, regime)
+        assert cert.converged
+        calls = []
+        nnls = cert_module._nnls
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(cert_module, "_nnls", counting)
+        verdict = classify_nsp(a, pattern, regime, certificate=cert)
+        assert verdict.verdict == CERTIFIED_SUCCESS and calls == []
+        assert _dual_certificate_lp(a, pattern, regime) < 1.0
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_anchor_start_gives_the_same_verdict(self, regime):
+        # The anchor (head at +1, tail at the signs) has zero slack, the
+        # start an unconverged certificate hands over: the seed sets the
+        # speed of the strict solve, never its answer.
+        a, pattern = _success_instance(regime)
+        cert = tau_dual(a, pattern, regime)
+        anchor = np.ones(pattern.n)
+        anchor[list(pattern.support)] = pattern.signs
+        anchored = dataclasses.replace(cert, z_witness=anchor)
+        assert classify_nsp(a, pattern, regime, certificate=anchored).verdict == CERTIFIED_SUCCESS
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda z: z[:-1], lambda z: np.where(np.arange(z.size) == 0, np.nan, z)],
+        ids=["short", "nan"],
+    )
+    def test_malformed_success_z_is_refused(self, corrupt):
+        # On a tau = 0 instance the supplied z seeds the strict solve, so it
+        # is read as verify_certificate reads it: a finite length-n vector.
+        a, pattern = _success_instance(Regime.SIGNED)
+        cert = tau_dual(a, pattern, Regime.SIGNED)
+        assert abs(cert.tau) <= 1e-6
+        broken = dataclasses.replace(cert, z_witness=corrupt(cert.z_witness))
+        with pytest.raises(ValueError, match="^z_witness"):
+            classify_nsp(a, pattern, Regime.SIGNED, certificate=broken)
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_repeated_support_column_is_never_success(self, regime):
@@ -659,3 +713,28 @@ class TestBoxLsq:
             oracle = lsq_linear(system, target, bounds=(0.0, upper), method="bvls")
             residual = float(np.linalg.norm(system @ s - target))
             assert residual <= float(np.linalg.norm(system @ oracle.x - target)) + 1e-12, seed
+
+    def test_nnls_never_sees_an_empty_shape(self, monkeypatch):
+        # SciPy's nnls aborts the process on an m x 0 matrix and returns
+        # uninitialized memory on a 0 x n one; k < n keeps both out of reach.
+        shapes = []
+        nnls = cert_module._nnls
+
+        def guarded(matrix, rhs, *args, **kwargs):
+            assert min(matrix.shape) > 0, matrix.shape
+            shapes.append(matrix.shape)
+            return nnls(matrix, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(cert_module, "_nnls", guarded)
+        rng = np.random.default_rng(6)
+        for regime, n in itertools.product(Regime, range(2, 7)):
+            for m, k in itertools.product(range(n), range(1, n)):
+                a = rng.standard_normal((m, n))
+                support = tuple(sorted(int(j) for j in rng.choice(n, size=k, replace=False)))
+                signs = (1,) * k
+                if regime is Regime.GENERAL:
+                    signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+                pattern = SupportPattern(n=n, support=support, signs=signs)
+                cert = tau_dual(a, pattern, regime)
+                classify_nsp(a, pattern, regime, certificate=cert)
+        assert len(shapes) == 2 * sum(n * (n - 1) for n in range(2, 7))

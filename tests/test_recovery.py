@@ -1,5 +1,7 @@
 """Unit tests for the basis-pursuit solvers (operator splitting + HiGHS simplex)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,28 @@ def _raising_nnls(calls: list):
 
 class TestSignedCut:
     """The signed regime's NNLS candidate on supp(z) | S."""
+
+    def test_nnls_never_sees_an_empty_shape(self, monkeypatch):
+        # SciPy's nnls aborts the process on an m x 0 matrix and returns
+        # uninitialized memory on a 0 x n one; the union U contains the
+        # nonempty support S and m >= 1, which keeps both out of reach.
+        shapes = []
+        nnls = recovery.nnls
+
+        def guarded(matrix, rhs, *args, **kwargs):
+            assert min(matrix.shape) > 0, matrix.shape
+            shapes.append(matrix.shape)
+            return nnls(matrix, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "nnls", guarded)
+        for seed, n in itertools.product(range(3), range(2, 7)):
+            for m, k in itertools.product(range(1, n), range(1, n)):
+                rng = np.random.default_rng([seed, n, m, k])
+                a = rng.standard_normal((m, n))
+                x0 = np.zeros(n)
+                x0[rng.choice(n, size=k, replace=False)] = 1.0
+                solve_bp(BPProblem(A=a, y=a @ x0, regime=Regime.SIGNED), planted=x0)
+        assert shapes
 
     @pytest.mark.parametrize("trial", [6, 7])
     def test_cuts_trials_the_support_fit_missed(self, trial):
