@@ -29,13 +29,13 @@ null-space basis of one QR of A^T (seeded by one compiled NNLS solve,
 refined to machine-level KKT residuals); when that refinement does not
 finish, the result is reported unconverged and the verdict is
 inconclusive.  The strict dual certificate solves the same problem with
-the tail scaled, so its slack solve starts from the tau certificate's z
-and makes no NNLS call.  The tests cross-check tau against an
-independent primal evaluation in ``tests/oracles.py``.
-:func:`verify_certificate` re-checks every claim a certificate makes from
-scratch, and :func:`classify_nsp` turns a certificate into a three-way
-verdict: failure only when :func:`verify_certificate` accepts the
-certificate, success only with the strict dual certificate.  Every
+the tail scaled, on the same QR, starting from the tau certificate's z, so
+it makes no NNLS call.  The tests cross-check tau against an independent
+primal evaluation in ``tests/oracles.py``.  :func:`verify_certificate`
+re-checks every claim a certificate makes from scratch.
+:func:`classify_nsp` solves for tau and returns a three-way verdict that
+carries the certificate: failure only when :func:`verify_certificate`
+accepts it, success only with the strict dual certificate.  Every
 operation that solves for tau requires m < n.
 """
 
@@ -249,10 +249,10 @@ class TauCertificate:
 
 @dataclass(frozen=True)
 class NspVerdict:
-    """Three-way recovery verdict for (A, pattern) at a given tolerance."""
+    """Three-way recovery verdict for (A, pattern), with the tau certificate it rests on."""
 
     verdict: str
-    tau: float
+    certificate: TauCertificate
     tolerance: float
 
     def __post_init__(self) -> None:
@@ -335,11 +335,16 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     its residual (:func:`_dual_stationary`).  When the slack solve runs out
     of its refinement budget, the anchor point (head at +1, tail at the
     signs) is reported with ``converged`` False, which :func:`classify_nsp`
-    turns into an inconclusive verdict.  z and w are reported in A's column
-    order.
+    turns into an inconclusive verdict.  z and w are in A's column order.
     """
     regime, _, order, b = _canonical(A, pattern, regime, "tau_dual")
-    projector = RowspaceProjector(b)
+    return _tau(RowspaceProjector(b), order, pattern, regime)
+
+
+def _tau(
+    projector: RowspaceProjector, order: np.ndarray, pattern: SupportPattern, regime: Regime
+) -> TauCertificate:
+    """The solve of :func:`tau_dual` and :func:`classify_nsp`, on the projector of B."""
     null = projector._null
     signs = np.array(pattern.signs, dtype=float)
     head_size = pattern.n - pattern.k
@@ -489,7 +494,11 @@ def _box_lsq_refine(
 
 
 def _strict_dual_certificate(
-    b: np.ndarray, signs: np.ndarray, regime: Regime, start: np.ndarray
+    b: np.ndarray,
+    projector: RowspaceProjector,
+    signs: np.ndarray,
+    regime: Regime,
+    start: np.ndarray,
 ) -> bool:
     """Strict dual certificate of success for B = A[:, order], head columns first.
 
@@ -498,13 +507,13 @@ def _strict_dual_certificate(
     correlations B_{S^c}^T nu below 1 in absolute value (signed regime:
     from above).  range(B^T) is a subspace, so the head box shrunk to
     +-(1 - tol) meets it iff the slice with the tail pinned at
-    signs / (1 - tol) does: the exact slack solve of that slice, started
-    from ``start`` (the tau certificate's z in B's column order, which
-    solves the slice with the tail at signs), gives z, then
-    nu = (1 - tol) coefficients(z) is corrected onto B_S^T nu = signs
-    through the Cholesky factor of B_S^T B_S.  Success is decided on that
-    final nu, with margin tol/2 on the head, by :func:`_dual_certificate_holds`;
-    tol is the verdict tolerance ``_VERDICT_TOL``.
+    signs / (1 - tol) does: the exact slack solve of that slice over the
+    tau solve's ``projector`` of B, started from ``start`` (the tau
+    certificate's z in B's column order, which solves the slice with the
+    tail at signs), gives z, then nu = (1 - tol) coefficients(z) is
+    corrected onto B_S^T nu = signs through the Cholesky factor of
+    B_S^T B_S.  Success is decided on that final nu, with margin tol/2 on
+    the head, by :func:`_dual_certificate_holds`; tol is ``_VERDICT_TOL``.
     """
     tail = slice(b.shape[1] - signs.size, None)
     b_tail = b[:, tail]
@@ -512,7 +521,6 @@ def _strict_dual_certificate(
         lower = cholesky_spd(b_tail.T @ b_tail)
     except RankDeficiencyError:
         return False
-    projector = RowspaceProjector(b)
     z = _dual_slack_exact(projector._null, signs / (1.0 - _VERDICT_TOL), regime, start)
     if z is None:
         return False
@@ -551,45 +559,35 @@ def _dual_certificate_holds(
 
 
 @one_blas_thread
-def classify_nsp(
-    A,
-    pattern: SupportPattern,
-    regime: Regime = Regime.GENERAL,
-    certificate: TauCertificate | None = None,
-) -> NspVerdict:
+def classify_nsp(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> NspVerdict:
     """Three-way verdict: certified_failure / certified_success / inconclusive.
 
-    With tol = 1e-6 (``_VERDICT_TOL``), failure requires tau < -tol from a
-    converged certificate that :func:`verify_certificate` accepts (its
-    witness w is a unit null vector of A, nonnegative off the support in
-    the signed regime, with phi(w) matching tau; z and nu reproduce the dual
-    distance) and phi(w) < -tol.  Success requires |tau| <= tol AND a strict
-    dual certificate (:func:`_strict_dual_certificate`; tau = 0 alone cannot
-    separate strict success from ties).  Everything else — a non-converged
-    dual solve, a failure certificate that does not re-check, a
-    non-injective A_S — is inconclusive.  Requires m < n, as
-    :func:`tau_dual` does.  ``certificate`` may pass a precomputed tau_dual
-    result to avoid re-solving; the verdict reports its tau.  The
-    certificate's z, supplied or computed, also seeds the strict dual
-    certificate's slack solve (it sets the speed, never the verdict); on
-    the success branch a z that is not a finite length-n vector raises
-    ValueError.
+    One :class:`RowspaceProjector` of B = A[:, order] serves the tau solve
+    and the strict dual certificate, and the verdict carries the tau
+    certificate.  With tol = 1e-6 (``_VERDICT_TOL``), failure requires
+    tau < -tol from a converged certificate that :func:`verify_certificate`
+    accepts, with phi(w) < -tol.  Success requires |tau| <= tol AND a
+    strict dual certificate (:func:`_strict_dual_certificate`, started from
+    the certificate's z; tau = 0 alone cannot separate strict success from
+    ties).  Everything else — a non-converged dual solve, a failure
+    certificate that does not re-check, a non-injective A_S — is
+    inconclusive.  Requires m < n, as :func:`tau_dual` does.
     """
     regime, a, order, b = _canonical(A, pattern, regime, "classify_nsp")
-    cert = certificate if certificate is not None else tau_dual(a, pattern, regime)
+    projector = RowspaceProjector(b)
+    cert = _tau(projector, order, pattern, regime)
     if (
         cert.tau < -_VERDICT_TOL
         and cert.converged
         and verify_certificate(a, pattern, cert, regime)
         and nullspace_objective(cert.w_witness, pattern, regime) < -_VERDICT_TOL
     ):
-        return NspVerdict(verdict=CERTIFIED_FAILURE, tau=cert.tau, tolerance=_VERDICT_TOL)
+        return NspVerdict(verdict=CERTIFIED_FAILURE, certificate=cert, tolerance=_VERDICT_TOL)
     if abs(cert.tau) <= _VERDICT_TOL:
         signs = np.array(pattern.signs, dtype=float)
-        start = _as_vector("z_witness", cert.z_witness, pattern.n)[order]
-        if _strict_dual_certificate(b, signs, regime, start):
-            return NspVerdict(verdict=CERTIFIED_SUCCESS, tau=cert.tau, tolerance=_VERDICT_TOL)
-    return NspVerdict(verdict=INCONCLUSIVE, tau=cert.tau, tolerance=_VERDICT_TOL)
+        if _strict_dual_certificate(b, projector, signs, regime, cert.z_witness[order]):
+            return NspVerdict(verdict=CERTIFIED_SUCCESS, certificate=cert, tolerance=_VERDICT_TOL)
+    return NspVerdict(verdict=INCONCLUSIVE, certificate=cert, tolerance=_VERDICT_TOL)
 
 
 def construct_counterexample(

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cert import SupportPattern, classify_nsp, tau_dual
+# tau_dual is unused here but stays bound: perfbench's tracer wraps cli.tau_dual by this name.
+from .cert import SupportPattern, classify_nsp, tau_dual  # noqa: F401
 from .experiments import PhaseGrid, run_framework, run_phase_grid
 from .recovery import BPProblem, solve_bp
 from .threshold import EpsilonSet, Regime, alpha_bound, solve_theta
@@ -301,9 +302,8 @@ def _cmd_tau(args) -> ReportBundle:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    cert = tau_dual(matrix, pattern, regime)
-    verdict = classify_nsp(matrix, pattern, regime, certificate=cert).verdict
-    return ReportBundle(json=_emit_json(cert.json_payload(verdict)))
+    v = classify_nsp(matrix, pattern, regime)
+    return ReportBundle(json=_emit_json(v.certificate.json_payload(v.verdict)))
 
 
 def _cmd_recover(args) -> ReportBundle:

@@ -140,8 +140,8 @@ def test_criterion_4_theorem_end_to_end():
         k = max(1, int(0.3 * n))
         a = rng.standard_normal((m, n))
         pattern = _random_pattern(rng, n, k, regime)
-        cert = tau_dual(a, pattern, regime)
-        verdict = classify_nsp(a, pattern, regime, certificate=cert)
+        verdict = classify_nsp(a, pattern, regime)
+        cert = verdict.certificate
         if verdict.verdict == CERTIFIED_FAILURE and cert.tau < -1e-3:
             failures.append((a, pattern, regime, cert))
 

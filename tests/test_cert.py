@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from l1weak.cert import (
     tau_dual,
     verify_certificate,
 )
+from l1weak.cli import dispatch
+from l1weak.linalg import RowspaceProjector
 from l1weak.threshold import alpha_w
 
 import oracles
@@ -83,6 +86,21 @@ def _random_instance(seed: int, regime: Regime, n_max: int = 24):
     else:
         signs = (1,) * k
     return a, SupportPattern(n=n, support=support, signs=signs)
+
+
+def _classify_with(monkeypatch, a, pattern: SupportPattern, regime: Regime, certificate):
+    """classify_nsp on (a, pattern) with its tau solve replaced by ``certificate``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cert_module, "_tau", lambda *args: certificate)
+        return classify_nsp(a, pattern, regime)
+
+
+def _tie_instance():
+    """Columns 0 and 1 coincide on the support: A_S is not injective and tau = 0."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((7, 8))
+    a[:, 1] = a[:, 0]
+    return a, SupportPattern(n=8, support=(0, 1), signs=(1, 1))
 
 
 class TestSupportPattern:
@@ -152,9 +170,8 @@ class TestTauHandCases:
         # exists — neither verdict can be certified.
         a = np.array([[1.0, -1.0]])
         pattern = SupportPattern(n=2, support=(0,), signs=(1,))
-        cert = tau_dual(a, pattern, Regime.GENERAL)
-        assert abs(cert.tau) <= 1e-9
-        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert)
+        verdict = classify_nsp(a, pattern, Regime.GENERAL)
+        assert abs(verdict.certificate.tau) <= 1e-9
         assert verdict.verdict == INCONCLUSIVE
 
     def test_signed_strict_success(self):
@@ -164,7 +181,7 @@ class TestTauHandCases:
         pattern = SupportPattern(n=3, support=(0,), signs=(1,))
         verdict = classify_nsp(a, pattern, Regime.SIGNED)
         assert verdict.verdict == CERTIFIED_SUCCESS
-        assert abs(verdict.tau) <= 1e-9
+        assert abs(verdict.certificate.tau) <= 1e-9
 
     def test_wide_random_failure(self):
         # One measurement for 8 unknowns: failure is certain, and the
@@ -172,10 +189,9 @@ class TestTauHandCases:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((1, 8))
         pattern = SupportPattern(n=8, support=(2, 5), signs=(1, -1))
-        cert = tau_dual(a, pattern, Regime.GENERAL)
-        assert cert.tau < -0.5
-        assert cert.w_witness is not None
-        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert)
+        verdict = classify_nsp(a, pattern, Regime.GENERAL)
+        assert verdict.certificate.tau < -0.5
+        assert verdict.certificate.w_witness is not None
         assert verdict.verdict == CERTIFIED_FAILURE
 
 
@@ -262,8 +278,8 @@ class TestCanonicalizationInvariance:
             )
             results = []
             for p in (pattern, reordered):
-                cert = tau_dual(a, p, regime)
-                results.append((cert, classify_nsp(a, p, regime, certificate=cert).verdict))
+                verdict = classify_nsp(a, p, regime)
+                results.append((verdict.certificate, verdict.verdict))
             (c1, v1), (c2, v2) = results
             assert v1 == v2, seed
             assert abs(c1.tau - c2.tau) <= 1e-12, seed
@@ -426,14 +442,60 @@ class TestScaleLimits:
 
 
 class TestClassify:
-    def test_verdict_consistent_with_supplied_certificate(self):
-        a, pattern = _random_instance(55, Regime.GENERAL)
-        cert = tau_dual(a, pattern, Regime.GENERAL)
-        v1 = classify_nsp(a, pattern, Regime.GENERAL)
-        v2 = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert)
-        assert v1.verdict == v2.verdict
-        assert v1.tau == v2.tau
-        assert v1.tolerance == v2.tolerance == 1e-6
+    def test_verdict_carries_the_tau_dual_certificate(self):
+        # Seed 55 fails and seed 2 succeeds; either way the verdict's
+        # certificate is tau_dual's, field for field.
+        verdicts = []
+        for seed in (55, 2):
+            a, pattern = _random_instance(seed, Regime.GENERAL)
+            cert = tau_dual(a, pattern, Regime.GENERAL)
+            verdict = classify_nsp(a, pattern, Regime.GENERAL)
+            assert verdict.tolerance == 1e-6
+            assert verdict.certificate.json_payload() == cert.json_payload()
+            verdicts.append(verdict.verdict)
+        assert verdicts == [CERTIFIED_FAILURE, CERTIFIED_SUCCESS]
+
+    @pytest.mark.parametrize(
+        ("case", "expected"),
+        [
+            ("failure", CERTIFIED_FAILURE),
+            ("success", CERTIFIED_SUCCESS),
+            ("tie", INCONCLUSIVE),
+            ("cli", CERTIFIED_SUCCESS),
+        ],
+    )
+    def test_one_validation_and_one_factorization(self, monkeypatch, tmp_path, case, expected):
+        # The tau solve and the strict dual certificate share one validated
+        # B = A[:, order] and one QR of it, also behind `l1weak tau`.
+        if case == "failure":
+            regime, (a, pattern) = Regime.GENERAL, _random_instance(33, Regime.GENERAL)
+        elif case == "tie":
+            regime, (a, pattern) = Regime.GENERAL, _tie_instance()
+        else:
+            regime, (a, pattern) = Regime.SIGNED, _success_instance(Regime.SIGNED)
+        counts = {"_canonical": 0, "RowspaceProjector": 0}
+        canonical = cert_module._canonical
+        build = RowspaceProjector.__init__
+
+        def counting_canonical(*args):
+            counts["_canonical"] += 1
+            return canonical(*args)
+
+        def counting_build(self, matrix):
+            counts["RowspaceProjector"] += 1
+            build(self, matrix)
+
+        monkeypatch.setattr(cert_module, "_canonical", counting_canonical)
+        monkeypatch.setattr(RowspaceProjector, "__init__", counting_build)
+        if case == "cli":
+            path = tmp_path / "a.csv"
+            path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n")
+            support = ",".join(str(j) for j in pattern.support)
+            code, bundle = dispatch(["tau", "--matrix", str(path), "--support", support, "--signed"])
+            assert code == 0 and json.loads(bundle.json)["verdict"] == expected
+        else:
+            assert classify_nsp(a, pattern, regime).verdict == expected
+        assert counts == {"_canonical": 1, "RowspaceProjector": 1}
 
     def test_json_payload_schema(self):
         a, pattern = _random_instance(56, Regime.GENERAL)
@@ -450,15 +512,17 @@ class TestClassify:
             "verdict",
         }
 
-    def test_failure_witness_is_rechecked(self):
-        # Each tampered certificate keeps tau < -tol and converged; either
-        # its witness or another of its claims is wrong, so the verdict must
-        # fall back to inconclusive.  The last three keep a valid witness:
-        # only verify_certificate's objective, box and dual-distance checks
+    def test_failure_witness_is_rechecked(self, monkeypatch):
+        # Each tampered certificate, handed to classify_nsp in place of its
+        # own tau solve, keeps tau < -tol and converged; either its witness
+        # or another of its claims is wrong, so the verdict must fall back
+        # to inconclusive.  The last three keep a valid witness: only
+        # verify_certificate's objective, box and dual-distance checks
         # catch them.
         a, pattern = _random_instance(33, Regime.GENERAL)
-        cert = tau_dual(a, pattern, Regime.GENERAL)
-        assert classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict == CERTIFIED_FAILURE
+        verdict = classify_nsp(a, pattern, Regime.GENERAL)
+        assert verdict.verdict == CERTIFIED_FAILURE
+        cert = verdict.certificate
         row = a.T @ np.ones(a.shape[0])
         w = cert.w_witness + 0.1 * row / np.linalg.norm(row)
         off_null = dataclasses.replace(cert, w_witness=w / np.linalg.norm(w))
@@ -468,13 +532,15 @@ class TestClassify:
         double_z = dataclasses.replace(cert, z_witness=2.0 * cert.z_witness)
         double_nu = dataclasses.replace(cert, nu_witness=2.0 * cert.nu_witness)
         for broken in (off_null, ascent, lower_tau, double_z, double_nu):
-            verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=broken)
-            assert verdict.verdict == INCONCLUSIVE and verdict.tau == broken.tau
+            verdict = _classify_with(monkeypatch, a, pattern, Regime.GENERAL, broken)
+            assert verdict.verdict == INCONCLUSIVE and verdict.certificate is broken
 
         a, pattern, cert, tampered = _signed_failure_with_negative_head()
-        assert classify_nsp(a, pattern, Regime.SIGNED, certificate=cert).verdict == CERTIFIED_FAILURE
+        verdict = _classify_with(monkeypatch, a, pattern, Regime.SIGNED, cert)
+        assert verdict.verdict == CERTIFIED_FAILURE
         tampered = dataclasses.replace(tampered, tau=cert.tau)
-        assert classify_nsp(a, pattern, Regime.SIGNED, certificate=tampered).verdict == INCONCLUSIVE
+        verdict = _classify_with(monkeypatch, a, pattern, Regime.SIGNED, tampered)
+        assert verdict.verdict == INCONCLUSIVE
 
     @given(st.integers(min_value=100, max_value=2**31 - 1))
     @settings(max_examples=15)
@@ -533,20 +599,29 @@ class TestStrictDualCertificate:
     def test_success_certificate_makes_no_nnls_call(self, monkeypatch, regime):
         # The tau certificate's z solves the strict certificate's box problem
         # with the tail at the signs instead of signs / (1 - tol), so its
-        # slack seeds that solve and no compiled NNLS seed is needed.
+        # slack seeds that solve: a success verdict makes exactly one NNLS
+        # call, the tau solve's, and none inside the strict certificate.
         a, pattern = _success_instance(regime)
-        cert = tau_dual(a, pattern, regime)
-        assert cert.converged
-        calls = []
+        calls, inside = [], []
         nnls = cert_module._nnls
+        strict = cert_module._strict_dual_certificate
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(bool(inside))
             return nnls(*args, **kwargs)
 
+        def tracking(*args):
+            inside.append(True)
+            try:
+                return strict(*args)
+            finally:
+                inside.pop()
+
         monkeypatch.setattr(cert_module, "_nnls", counting)
-        verdict = classify_nsp(a, pattern, regime, certificate=cert)
-        assert verdict.verdict == CERTIFIED_SUCCESS and calls == []
+        monkeypatch.setattr(cert_module, "_strict_dual_certificate", tracking)
+        verdict = classify_nsp(a, pattern, regime)
+        assert verdict.verdict == CERTIFIED_SUCCESS and verdict.certificate.converged
+        assert calls == [False]
         assert _dual_certificate_lp(a, pattern, regime) < 1.0
 
     @pytest.mark.parametrize("regime", list(Regime))
@@ -555,35 +630,18 @@ class TestStrictDualCertificate:
         # start an unconverged certificate hands over: the seed sets the
         # speed of the strict solve, never its answer.
         a, pattern = _success_instance(regime)
-        cert = tau_dual(a, pattern, regime)
-        anchor = np.ones(pattern.n)
-        anchor[list(pattern.support)] = pattern.signs
-        anchored = dataclasses.replace(cert, z_witness=anchor)
-        assert classify_nsp(a, pattern, regime, certificate=anchored).verdict == CERTIFIED_SUCCESS
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [lambda z: z[:-1], lambda z: np.where(np.arange(z.size) == 0, np.nan, z)],
-        ids=["short", "nan"],
-    )
-    def test_malformed_success_z_is_refused(self, corrupt):
-        # On a tau = 0 instance the supplied z seeds the strict solve, so it
-        # is read as verify_certificate reads it: a finite length-n vector.
-        a, pattern = _success_instance(Regime.SIGNED)
-        cert = tau_dual(a, pattern, Regime.SIGNED)
-        assert abs(cert.tau) <= 1e-6
-        broken = dataclasses.replace(cert, z_witness=corrupt(cert.z_witness))
-        with pytest.raises(ValueError, match="^z_witness"):
-            classify_nsp(a, pattern, Regime.SIGNED, certificate=broken)
+        assert classify_nsp(a, pattern, regime).verdict == CERTIFIED_SUCCESS
+        _, _, _, b = cert_module._canonical(a, pattern, regime, "test")
+        signs = np.array(pattern.signs, dtype=float)
+        anchor = np.concatenate([np.ones(pattern.n - pattern.k), signs])
+        projector = RowspaceProjector(b)
+        assert cert_module._strict_dual_certificate(b, projector, signs, regime, anchor)
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_repeated_support_column_is_never_success(self, regime):
         # Columns 0 and 1 coincide, so A_S is not injective: e_0 - e_1 is a
         # null vector on which the functional vanishes (a tie, tau = 0).
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((7, 8))
-        a[:, 1] = a[:, 0]
-        pattern = SupportPattern(n=8, support=(0, 1), signs=(1, 1))
+        a, pattern = _tie_instance()
         verdict = classify_nsp(a, pattern, regime)
         assert verdict.verdict == INCONCLUSIVE
 
@@ -599,11 +657,11 @@ class TestStrictDualCertificate:
         monkeypatch.setattr(cert_module, "_dual_slack_exact", lambda *args: None)
         for seed in seeds:
             a, pattern = _random_instance(seed, regime)
-            cert = tau_dual(a, pattern, regime)
+            verdict = classify_nsp(a, pattern, regime)
+            cert = verdict.certificate
             assert not cert.converged and cert.iterations == 0
             with pytest.raises(ValueError):
                 verify_certificate(a, pattern, cert, regime)
-            verdict = classify_nsp(a, pattern, regime, certificate=cert)
             assert verdict.verdict == INCONCLUSIVE
 
     def test_runaway_signed_head_is_never_a_converged_wrong_tau(self):
@@ -629,16 +687,15 @@ class TestStrictDualCertificate:
         primal = oracles.tau_primal(a, pattern.support, pattern.signs, "signed")
         assert abs(cert.tau - primal) <= 1e-8
         assert verify_certificate(a, pattern, cert, Regime.SIGNED)
-        verdict = classify_nsp(a, pattern, Regime.SIGNED, certificate=cert)
-        assert verdict.verdict == CERTIFIED_FAILURE
+        assert classify_nsp(a, pattern, Regime.SIGNED).verdict == CERTIFIED_FAILURE
 
     def test_scaled_corpus_verdicts_are_right_and_verify(self):
         # Half the columns at 1e-4 square to a 1e8 spread in AA^T; every
         # conclusive verdict must still match the primal oracle and re-check.
         inconclusive = []
         for i, a, pattern, regime in _scaled_corpus():
-            cert = tau_dual(a, pattern, regime)
-            verdict = classify_nsp(a, pattern, regime, certificate=cert).verdict
+            result = classify_nsp(a, pattern, regime)
+            cert, verdict = result.certificate, result.verdict
             if verdict == INCONCLUSIVE:
                 inconclusive.append(i)
                 continue
@@ -655,9 +712,10 @@ class TestStrictDualCertificate:
         # although w >= 0 there by KKT; the clipped witness certifies failure.
         _, a, pattern, regime = next(itertools.islice(_scaled_corpus(draw + 1), draw, None))
         assert regime is Regime.SIGNED
-        cert = tau_dual(a, pattern, regime)
+        verdict = classify_nsp(a, pattern, regime)
+        cert = verdict.certificate
         assert cert.converged and cert.tau < -1e-3
-        assert classify_nsp(a, pattern, regime, certificate=cert).verdict == CERTIFIED_FAILURE
+        assert verdict.verdict == CERTIFIED_FAILURE
         check = verify_certificate(a, pattern, cert, regime)
         assert check, check.reason
         primal = oracles.tau_primal(a, pattern.support, pattern.signs, regime.value)
@@ -678,7 +736,8 @@ class TestStrictDualCertificate:
         support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
         pattern = SupportPattern(n=n, support=support, signs=signs)
-        cert = tau_dual(a, pattern, Regime.GENERAL)
+        result = classify_nsp(a, pattern, Regime.GENERAL)
+        cert = result.certificate
         assert cert.converged and cert.iterations == 0
 
         basis = null_space(a)
@@ -689,7 +748,7 @@ class TestStrictDualCertificate:
         distance = float(np.linalg.norm(basis[head].T @ oracle.x - basis.T @ anchor))
         assert abs(cert.tau + distance) <= 1e-10
 
-        verdict = classify_nsp(a, pattern, Regime.GENERAL, certificate=cert).verdict
+        verdict = result.verdict
         assert verdict == expected
         lp_peak = _dual_certificate_lp(a, pattern, Regime.GENERAL)
         assert (verdict == CERTIFIED_SUCCESS) == (lp_peak < 1.0)
@@ -735,6 +794,5 @@ class TestBoxLsq:
                 if regime is Regime.GENERAL:
                     signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
                 pattern = SupportPattern(n=n, support=support, signs=signs)
-                cert = tau_dual(a, pattern, regime)
-                classify_nsp(a, pattern, regime, certificate=cert)
+                classify_nsp(a, pattern, regime)
         assert len(shapes) == 2 * sum(n * (n - 1) for n in range(2, 7))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import l1weak
+from l1weak.cert import SupportPattern, classify_nsp
 from l1weak.cli import dispatch, emit_csv, emit_svg, main
 from l1weak.threshold import EpsilonSet, Regime, solve_theta
 
@@ -158,6 +159,10 @@ class TestTauVerb:
         assert len(payload["z"]) == 10
         assert len(payload["nu"]) == 4
         assert isinstance(payload["converged"], bool)
+        # The document is exactly the package verdict's certificate payload.
+        a = np.random.default_rng(3).standard_normal((4, 10))
+        verdict = classify_nsp(a, SupportPattern(n=10, support=(1, 4), signs=(1, -1)))
+        assert payload == verdict.certificate.json_payload(verdict.verdict)
 
     def test_signed_defaults_signs(self, tmp_path):
         path = self._matrix_file(tmp_path)
