@@ -24,15 +24,17 @@ instead of the inf-norm).
 The production solver :func:`tau_dual` uses the dual form of tau: minus the
 Euclidean distance between range(A^T) and a box slice Z (head coordinates
 box-constrained, tail coordinates pinned at the pattern signs), computed by
-an exact bound-constrained least-squares solve in the box slacks over the
-null-space basis of one QR of A^T (seeded by one compiled NNLS solve,
-refined to machine-level KKT residuals); when that refinement does not
-finish, the result is reported unconverged and the verdict is
-inconclusive.  The strict dual certificate solves the same problem with
-the tail scaled, on the same QR, starting from the tau certificate's z, so
-it makes no NNLS call.  The tests cross-check tau against an independent
-primal evaluation in ``tests/oracles.py``.  :func:`verify_certificate`
-re-checks every claim a certificate makes from scratch.
+one active-set bound-constrained least-squares solver, :func:`_box_lsq`,
+in the box slacks over the null-space basis of one QR of A^T (seeded by
+one compiled NNLS solve).  The solver's own KKT test is the only
+acceptance test: when its active-set loop does not finish, the result is
+reported unconverged and the verdict is inconclusive.  The strict dual
+certificate solves the same problem with the tail scaled, on the same QR,
+starting from the tau certificate's z, so it makes no NNLS call, and it
+holds when the off-support peak is at most the fixed bound 1 - 5e-7.  The
+tests cross-check tau against an independent primal evaluation in
+``tests/oracles.py``.  :func:`verify_certificate` re-checks every claim a
+certificate makes from scratch.
 :func:`classify_nsp` solves for tau and returns a three-way verdict that
 carries the certificate: failure only when :func:`verify_certificate`
 accepts it, success only with the strict dual certificate.  Every
@@ -79,8 +81,6 @@ CERTIFIED_FAILURE = "certified_failure"
 CERTIFIED_SUCCESS = "certified_success"
 INCONCLUSIVE = "inconclusive"
 
-_KKT_TOL = 1e-8
-_KKT_ACTIVITY = 1e-7
 #: Weight of the split rows gamma (s + t) = 2 gamma that turn the general
 #: regime's slack box 0 <= s <= 2 into the nonnegative pair (s, t) for the
 #: NNLS seed; the seed is only a starting active set, so gamma need not be exact.
@@ -177,7 +177,7 @@ def _canonical(
         raise ValueError(f"{operation} requires m < n, got shape {a.shape}")
     _check_pattern(pattern, regime, a.shape[1])
     # The head comes first because the QR of B^T keeps this row order, and
-    # the active set of _box_lsq_refine responds to its roundoff: in A's own
+    # the active set of _box_lsq responds to its roundoff: in A's own
     # column order 10 of 3,000 badly scaled instances changed verdict.
     order = np.concatenate([_off_support(pattern), pattern.support]).astype(np.intp)
     return regime, a, order, a[:, order]
@@ -221,6 +221,9 @@ class TauCertificate:
     null-space basis of the QR of A^T); it is None when the dual distance is below
     1e-9 (success-side instances have no failure direction to report).
     ``gap`` is |tau - phi(w_witness)| (|tau| when no witness exists).
+    ``converged`` means the slack solve met :func:`_box_lsq`'s KKT test;
+    when False, z is the anchor point and no verdict but inconclusive rests
+    on the certificate.
     ``iterations`` is always 0: the exact slack solve is the only route
     (the field and its JSON key are kept for readers of the schema).
     """
@@ -276,9 +279,9 @@ def _dual_slack_exact(
     ``start``, a point in B's column order, seeds the slack at
     1 - start_head (:func:`_strict_dual_certificate` passes the tau
     certificate's z); without it one compiled NNLS solve seeds it.  The
-    refinement accepts only exact KKT points either way, so the seed sets
-    the speed but never the answer.  Returns z, or None if the refinement
-    budget is exhausted.
+    solver accepts only exact KKT points either way, so the seed sets the
+    speed but never the answer.  Returns z, or None if the solver's
+    iteration budget is exhausted.
     """
     head_size = null.shape[0] - tail.size
     anchor = np.concatenate([np.ones(head_size), tail])
@@ -289,32 +292,6 @@ def _dual_slack_exact(
         return None
     anchor[:head_size] -= slack
     return anchor
-
-
-def _dual_stationary(z: np.ndarray, residual: np.ndarray, head_size: int, regime: Regime) -> bool:
-    """KKT test for the dual pair: is z, with residual z - P z, a distance minimizer?
-
-    The distance problem is convex, so optimality is exactly: the residual
-    vanishes on head coordinates interior to the box, and points
-    outward (beyond the bound) on head coordinates at the box bound.  Tail
-    coordinates are pinned and carry no condition.  :func:`tau_dual`
-    reports convergence only when this test holds.
-    """
-    residual = residual[:head_size]
-    head = z[:head_size]
-    at_upper = head >= 1.0 - _KKT_ACTIVITY
-    if regime is Regime.GENERAL:
-        at_lower = head <= -1.0 + _KKT_ACTIVITY
-    else:
-        at_lower = np.zeros(head.size, dtype=bool)
-    interior = ~(at_upper | at_lower)
-    if interior.any() and float(np.abs(residual[interior]).max()) > _KKT_TOL:
-        return False
-    if at_upper.any() and float(residual[at_upper].max()) > _KKT_TOL:
-        return False
-    if at_lower.any() and float(residual[at_lower].min()) < -_KKT_TOL:
-        return False
-    return True
 
 
 @one_blas_thread
@@ -331,9 +308,9 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
     and the witness w = -N N^T z / ||N^T z||, which lies in null(A) by
     construction (in the signed regime a converged w has its head roundoff
     below 0 clipped and is renormalized), and R gives the row weights nu of
-    P z = B^T nu.  The ``converged`` flag is the KKT stationarity of z and
-    its residual (:func:`_dual_stationary`).  When the slack solve runs out
-    of its refinement budget, the anchor point (head at +1, tail at the
+    P z = B^T nu.  ``converged`` says that the slack solve met its own KKT
+    test (:func:`_box_lsq`); no second test follows.  When the solve runs
+    out of its iteration budget, the anchor point (head at +1, tail at the
     signs) is reported with ``converged`` False, which :func:`classify_nsp`
     turns into an inconclusive verdict.  z and w are in A's column order.
     """
@@ -344,21 +321,24 @@ def tau_dual(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) -> Tau
 def _tau(
     projector: RowspaceProjector, order: np.ndarray, pattern: SupportPattern, regime: Regime
 ) -> TauCertificate:
-    """The solve of :func:`tau_dual` and :func:`classify_nsp`, on the projector of B."""
+    """The solve of :func:`tau_dual` and :func:`classify_nsp`, on the projector of B.
+
+    ``converged`` is exactly "the slack solve returned a point": its KKT
+    test is the acceptance test, and a verdict needs a witness on top.
+    """
     null = projector._null
     signs = np.array(pattern.signs, dtype=float)
     head_size = pattern.n - pattern.k
 
     z = _dual_slack_exact(null, signs, regime)
-    finished = z is not None
-    if not finished:
+    converged = z is not None
+    if not converged:
         z = np.concatenate([np.ones(head_size), signs])
 
     nu = projector.coefficients(z)
     residual = null @ (null.T @ z)
     d = float(np.linalg.norm(residual))
     tau = -d
-    converged = finished and _dual_stationary(z, residual, head_size, regime)
 
     w_a: np.ndarray | None = None
     gap = abs(tau)
@@ -403,19 +383,25 @@ def _box_lsq(
 ) -> np.ndarray | None:
     """0 <= s <= upper minimizing ||system @ s - target||, to exact KKT, or None.
 
-    :func:`_box_lsq_refine` starts its active set from ``seed``.  Without
-    one, one compiled Lawson-Hanson NNLS solve gives it: with a finite
-    ``upper`` it runs on the split box s, t >= 0 with the rows
-    gamma (s + t) = gamma upper stacked under ``system``, i.e.
+    Active-set iteration in the Lawson-Hanson / BVLS style (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974) with exact least-squares solves
+    on the free set.  The active set starts from ``seed``; without one, one
+    compiled Lawson-Hanson NNLS solve gives it: with a finite ``upper`` it
+    runs on the split box s, t >= 0 with the rows gamma (s + t) = gamma upper
+    stacked under ``system``, i.e.
     [[system, 0], [gamma I, gamma I]] [s; t] ~ [target; gamma upper 1], and
-    keeps s; when NNLS raises, the seed is zero.  The refinement accepts
-    only machine-level KKT residuals of the true box problem, so the seed
-    sets the speed but never the answer.  ``system`` is a block of an
-    orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
-    Returns None if the refinement budget is exhausted.
+    keeps s; when NNLS raises, the seed is zero.  The loop returns only a
+    KKT point of the true box problem: gradient zero on free variables
+    (automatic from the subproblem), gradient >= 0 at the lower bound and
+    <= 0 at the upper bound, to 1e-12 max(1, ||target||).  So the seed sets
+    the speed but never the answer, and this is the one acceptance test of
+    every slack solve.  ``upper`` may be ``math.inf`` (pure nonnegative least
+    squares).  ``system`` is a block of an orthonormal basis, transposed, as
+    :func:`_basis_lstsq` requires.  Returns None if the iteration budget is
+    exhausted.
     """
+    size = system.shape[1]
     if seed is None:
-        size = system.shape[1]
         seed_system, seed_target = system, target
         if math.isfinite(upper):
             split = _SPLIT_WEIGHT * np.eye(size)
@@ -425,42 +411,23 @@ def _box_lsq(
             seed = _nnls(seed_system, seed_target)[0][:size]
         except RuntimeError:
             seed = np.zeros(size)
-    return _box_lsq_refine(system, target, upper, seed)
-
-
-def _box_lsq_refine(
-    m_mat: np.ndarray,
-    rhs: np.ndarray,
-    upper: float,
-    s: np.ndarray,
-) -> np.ndarray | None:
-    """Refine 0 <= s <= upper minimizing ||m_mat @ s - rhs|| to exact KKT.
-
-    Active-set iteration in the Lawson-Hanson / BVLS style with exact
-    least-squares subproblem solves on the free set: optimality is gradient
-    zero on free variables (automatic from the subproblem), gradient >= 0 at
-    the lower bound, and gradient <= 0 at the upper bound.  Library solver
-    output seeds the sets but can stop short of full precision; this loop
-    only accepts machine-level KKT residuals.  ``upper`` may be ``math.inf``
-    (pure nonnegative least squares).  ``m_mat`` is a block of an
-    orthonormal basis, transposed, as :func:`_basis_lstsq` requires.
-    Returns None if the iteration budget is exhausted.
-    """
-    r = m_mat.shape[1]
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(rhs)))
-    s = np.clip(s, 0.0, upper)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(target)))
+    s = np.clip(seed, 0.0, upper)
     at_lower = s <= 1e-14
     at_upper = s >= upper - 1e-14
     s = np.where(at_lower, 0.0, s)
     s = np.where(at_upper, upper, s)
     free = ~(at_lower | at_upper)
-    for _ in range(10 * r + 100):
+    for _ in range(10 * size + 100):
         # Solve exactly on the free set, stepping back toward the previous
         # feasible point whenever the unconstrained solution leaves the box.
         while free.any():
             cols = np.where(free)[0]
-            target = rhs - upper * m_mat[:, at_upper].sum(axis=1) if at_upper.any() else rhs
-            sol = _basis_lstsq(m_mat[:, cols], target)
+            if at_upper.any():
+                rhs = target - upper * system[:, at_upper].sum(axis=1)
+            else:
+                rhs = target
+            sol = _basis_lstsq(system[:, cols], rhs)
             below = sol <= 0.0
             above = sol >= upper
             if not below.any() and not above.any():
@@ -480,7 +447,7 @@ def _box_lsq_refine(
             s[cols[hit & above]] = upper
             at_upper[cols[hit & above]] = True
             free = ~(at_lower | at_upper)
-        gradient = m_mat.T @ (m_mat @ s - rhs)
+        gradient = system.T @ (system @ s - target)
         viol_lower = at_lower & (gradient < -tol)
         viol_upper = at_upper & (gradient > tol)
         if not viol_lower.any() and not viol_upper.any():
@@ -512,8 +479,9 @@ def _strict_dual_certificate(
     certificate's z in B's column order, which solves the slice with the
     tail at signs), gives z, then nu = (1 - tol) coefficients(z) is
     corrected onto B_S^T nu = signs through the Cholesky factor of
-    B_S^T B_S.  Success is decided on that final nu, with margin tol/2 on
-    the head, by :func:`_dual_certificate_holds`; tol is ``_VERDICT_TOL``.
+    B_S^T B_S.  Success is decided on that final nu by
+    :func:`_dual_certificate_holds`, whose fixed bound leaves margin tol/2
+    on the head; tol is ``_VERDICT_TOL``.
     """
     tail = slice(b.shape[1] - signs.size, None)
     b_tail = b[:, tail]
@@ -525,9 +493,7 @@ def _strict_dual_certificate(
     if z is None:
         return False
     nu = (1.0 - _VERDICT_TOL) * projector.coefficients(z)
-    signed = regime is Regime.SIGNED
-    bound = 1.0 - 0.5 * _VERDICT_TOL
-    return _dual_certificate_holds(b, tail, lower, nu, signs, signed, bound)
+    return _dual_certificate_holds(b, tail, lower, nu, signs, regime is Regime.SIGNED)
 
 
 def _dual_certificate_holds(
@@ -537,7 +503,6 @@ def _dual_certificate_holds(
     nu: np.ndarray,
     target,
     signed: bool,
-    bound: float,
 ) -> bool:
     """Correct ``nu`` onto A_S^T nu = target, then test the off-support peak.
 
@@ -545,17 +510,18 @@ def _dual_certificate_holds(
     ``lower`` is the Cholesky factor of A_S^T A_S.  The correction adds
     A_S (A_S^T A_S)^{-1} (target - A_S^T nu), the least-norm change that
     meets the support equations.  The certificate holds when every
-    off-support correlation a_j^T nu is at most ``bound`` in absolute value
-    (signed regime: from above).  This is the one place the strict dual
-    certificate test lives: :func:`_strict_dual_certificate` and the
-    planted-vector stop of ``recovery.solve_bp`` both call it.
+    off-support correlation a_j^T nu is at most 1 - _VERDICT_TOL/2 = 1 - 5e-7
+    in absolute value (signed regime: from above).  This is the one place
+    the strict dual certificate test and its bound live:
+    :func:`_strict_dual_certificate` and the planted-vector stop of
+    ``recovery.solve_bp`` both call it.
     """
     a_support = a[:, support]
     nu = nu + a_support @ cho_solve((lower, True), target - a_support.T @ nu)
     correlations = a.T @ nu
     correlations[support] = 0.0
     peak = float(correlations.max()) if signed else float(np.abs(correlations).max())
-    return peak <= bound
+    return peak <= 1.0 - 0.5 * _VERDICT_TOL
 
 
 @one_blas_thread

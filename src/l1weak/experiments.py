@@ -40,7 +40,6 @@ __all__ = [
     "PhaseCell",
     "FrameworkSample",
     "FrameworkResult",
-    "splitmix64",
     "split_stream_seed",
     "run_trial",
     "run_phase_grid",
@@ -60,12 +59,11 @@ _TWO_POW_63 = 1 << 63
 _INV_2_POW_53 = 2.0 ** -53
 
 
-def splitmix64(state: int) -> int:
-    """The splitmix64 finalizer: one 64-bit avalanche mix of ``state``."""
-    z = state & _MASK
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer on a uint64 array, wrapping mod 2^64 as intended."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
+    return z ^ (z >> np.uint64(31))
 
 
 def split_stream_seed(seed: int, *path: int) -> int:
@@ -75,12 +73,14 @@ def split_stream_seed(seed: int, *path: int) -> int:
     split(seed, a, b) depends only on the values, never on when or where the
     child stream is consumed.
     """
-    state = int(seed) & _MASK
+    # One-element arrays, not uint64 scalars: array arithmetic wraps silently,
+    # where scalar overflow warns.
+    state = np.array([int(seed) & _MASK], dtype=np.uint64)
     for index in path:
         if index < 0:
             raise ValueError(f"path indices must be nonnegative, got {index}")
-        state = splitmix64((state + (int(index) + 1) * _GOLDEN) & _MASK)
-    return state
+        state = _mix(state + np.uint64((int(index) + 1) * _GOLDEN & _MASK))
+    return int(state[0])
 
 
 class CounterStream:
@@ -104,10 +104,7 @@ class CounterStream:
             raise ValueError(f"count must be nonnegative, got {count}")
         counters = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
-        z = np.uint64(self._seed) + counters * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        return z ^ (z >> np.uint64(31))
+        return _mix(np.uint64(self._seed) + counters * np.uint64(_GOLDEN))
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive u64 pairs.
@@ -157,15 +154,14 @@ class TrialDiagnostics:
     l1 minimizer (success).  ``cut``: a feasible point strictly below
     ||x0||_1 proves it is not (failure).  ``exact``: neither came within the
     solver's budget and ``classify_nsp`` certified the verdict.  ``tie``:
-    ``classify_nsp`` was inconclusive, and the trial counts as a failure.
-    ``solver_nonconverged`` counts the tie-route trials, the only outcomes
-    that rest on no witness; ``tie`` reads the same counter.
+    ``classify_nsp`` was inconclusive, and the trial counts as a failure;
+    these are the only outcomes that rest on no witness.
     ``iterations`` sums the solver iterations of all trials and
     ``max_iterations`` is the most any one trial used.  All counts are
     deterministic for a seed.
     """
 
-    solver_nonconverged: int = 0
+    tie: int = 0
     dual: int = 0
     cut: int = 0
     exact: int = 0
@@ -173,22 +169,20 @@ class TrialDiagnostics:
     max_iterations: int = 0
 
     @property
-    def tie(self) -> int:
-        return self.solver_nonconverged
+    def solver_nonconverged(self) -> int:
+        # Read-only alias of tie; stays bound: perfbench's phase workloads read it by this name.
+        return self.tie
 
     def routes(self) -> dict[str, int]:
         return {"dual": self.dual, "cut": self.cut, "exact": self.exact, "tie": self.tie}
 
     def record(self, route: str, iterations: int) -> None:
-        if route == "tie":
-            self.solver_nonconverged += 1
-        else:
-            setattr(self, route, getattr(self, route) + 1)
+        setattr(self, route, getattr(self, route) + 1)
         self.iterations += iterations
         self.max_iterations = max(self.max_iterations, iterations)
 
     def merge(self, other: "TrialDiagnostics") -> None:
-        self.solver_nonconverged += other.solver_nonconverged
+        self.tie += other.tie
         self.dual += other.dual
         self.cut += other.cut
         self.exact += other.exact

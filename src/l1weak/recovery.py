@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 from scipy.optimize import linprog, nnls
 
-from .cert import _VERDICT_TOL, _dual_certificate_holds
+from .cert import _dual_certificate_holds
 from .linalg import RankDeficiencyError, _as_matrix, _as_vector, cholesky_spd, one_blas_thread
 from .threshold import Regime
 
@@ -60,9 +60,6 @@ _ADMM_MAX_ITERS = 50_000
 #: decides the trial exactly.
 _PLANTED_BUDGET = 2_048
 _DUAL_CHECK_PERIOD = 8
-#: A dual certificate needs every off-support correlation <= 1 - this margin,
-#: the head margin of ``classify_nsp``'s strict dual certificate.
-_DUAL_MARGIN = 0.5 * _VERDICT_TOL
 _CUTOFF_CHECK_PERIOD = 64
 #: Round-off margin of the primal cut below ||x0||_1.
 _CUTOFF_MARGIN = 1e-6
@@ -135,8 +132,11 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     factor of A A^T, W = L^{-1} A and c = L^{-1} y, the projection of v is
     v - W^T (W v - c), two matrix-vector products per iteration.
 
-    ``planted`` (a vector x0 with A x0 = y) makes the solve decide whether
-    basis pursuit returns x0, on the same iterates, with no residual test:
+    ``planted`` (a finite vector x0 with A x0 = y) makes the solve decide
+    whether basis pursuit returns x0, on the same iterates, with no residual
+    test.  A ValueError rejects an x0 whose ||A x0 - y||^2 exceeds the
+    feasibility bound 1e-18 max(1, ||y||^2), since a certificate for it
+    would certify a vector the problem does not have:
 
     - every 8 iterations, if supp(z) is supp(x0) with its signs, rho * u
       (a subgradient of the objective at z) gives nu = L^{-T} W (rho u),
@@ -165,10 +165,13 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     inv_rho = 1.0 / _ADMM_RHO
     signed = problem.regime is Regime.SIGNED
     max_iters = _ADMM_MAX_ITERS
+    tol_sq = _ADMM_TOL * _ADMM_TOL
+    feas_tol_sq = tol_sq * max(1.0, float(y @ y))
     if planted is not None:
-        planted = np.asarray(planted, dtype=float).ravel()
-        if planted.size != n:
-            raise ValueError(f"planted must have length {n}, got {planted.size}")
+        planted = _as_vector("planted", planted, n)
+        mismatch = a @ planted - y
+        if not float(mismatch @ mismatch) <= feas_tol_sq:
+            raise ValueError("planted does not solve A x = y to the solver's feasibility bound")
         max_iters = _PLANTED_BUDGET
         support = np.flatnonzero(planted)
         signs = np.sign(planted[support])
@@ -180,8 +183,6 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
             support_lower = None
     z = np.zeros(n)
     u = np.zeros(n)
-    tol_sq = _ADMM_TOL * _ADMM_TOL
-    feas_tol_sq = tol_sq * max(1.0, float(y @ y))
     # The empty support never certifies, so it doubles as "nothing checked".
     checked_support = np.empty(0, dtype=np.intp)
     iterations = 0
@@ -218,9 +219,7 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
             and np.all(z[support] * signs > 0.0)
         ):
             nu = solve_triangular(lower, w @ (_ADMM_RHO * u), lower=True, trans="T")
-            if _dual_certificate_holds(
-                a, support, support_lower, nu, signs, signed, 1.0 - _DUAL_MARGIN
-            ):
+            if _dual_certificate_holds(a, support, support_lower, nu, signs, signed):
                 route = "dual"
                 break
         if iterations % _CUTOFF_CHECK_PERIOD == 0:

@@ -758,8 +758,11 @@ class TestBoxLsq:
     @pytest.mark.parametrize("upper", [2.0, np.inf], ids=["box", "nonnegative"])
     def test_matches_bvls_on_orthonormal_blocks(self, upper):
         # _box_lsq takes a block of rows of an orthonormal basis, transposed,
-        # as the slack and cone solves pass it; its residual must be as small
-        # as SciPy's BVLS on the same bounds.
+        # as the slack solves pass it; its residual must be as small as
+        # SciPy's BVLS on the same bounds, and the slack must meet the box
+        # problem's KKT conditions, recomputed here from the raw system: a
+        # zero gradient on free variables, >= 0 at the lower bound and <= 0
+        # at the upper bound.
         for seed in range(200):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(4, 40))
@@ -772,6 +775,12 @@ class TestBoxLsq:
             oracle = lsq_linear(system, target, bounds=(0.0, upper), method="bvls")
             residual = float(np.linalg.norm(system @ s - target))
             assert residual <= float(np.linalg.norm(system @ oracle.x - target)) + 1e-12, seed
+            gradient = system.T @ (system @ s - target)
+            at_lower, at_upper = s == 0.0, s == upper
+            free = ~(at_lower | at_upper)
+            assert np.all(np.abs(gradient[free]) <= 1e-8), seed
+            assert np.all(gradient[at_lower] >= -1e-8), seed
+            assert np.all(gradient[at_upper] <= 1e-8), seed
 
     def test_nnls_never_sees_an_empty_shape(self, monkeypatch):
         # SciPy's nnls aborts the process on an m x 0 matrix and returns

@@ -27,7 +27,6 @@ from l1weak.experiments import (
     run_phase_grid,
     run_trial,
     split_stream_seed,
-    splitmix64,
 )
 from l1weak.threshold import solve_theta
 
@@ -62,7 +61,7 @@ class TestSplitmix:
         golden = 0x9E3779B97F4A7C15
         state = (seed + (index + 1) * golden) & _MASK
         want = _reference_mix(state)
-        assert splitmix64(state) == want
+        assert split_stream_seed(seed, index) == want
         stream = CounterStream(seed)
         stream.u64_block(index)
         assert int(stream.u64_block(1)[0]) == want
@@ -200,21 +199,26 @@ class TestWitnessedTrial:
         a = np.array([[1.0, -1.0]])
         assert not _witnessed_outcome(a, np.array([1.0, 0.0]), Regime.GENERAL, diagnostics)
         assert diagnostics.routes() == {"dual": 0, "cut": 0, "exact": 0, "tie": 1}
-        assert diagnostics.solver_nonconverged == 1
+        assert diagnostics.tie == diagnostics.solver_nonconverged == 1
 
     @pytest.mark.parametrize("support", [np.array([0]), slice(0, 1)], ids=["indices", "slice"])
     def test_dual_certificate_helper(self, support):
-        # Column 0 is the support.  Correcting nu = (5, 0.2) onto a_0^T nu = 1
-        # gives (1, 0.2): off-support correlations 0.2 and -3.
-        a = np.array([[1.0, 0.0, -3.0], [0.0, 1.0, 0.0]])
+        # Column 0 is the support.  Correcting nu = (5, c) onto a_0^T nu = 1
+        # gives (1, c): off-support correlations c and -x, each just below
+        # or just above the fixed bound 1 - 5e-7 in absolute value.
+        below, above = 1.0 - 1e-6, 1.0 - 1e-7
         lower = np.array([[1.0]])
-        nu = np.array([5.0, 0.2])
         target = np.ones(1)
-        assert not _dual_certificate_holds(a, support, lower, nu, target, False, 0.9)
-        assert _dual_certificate_holds(a, support, lower, nu, target, True, 0.9)
-        assert not _dual_certificate_holds(a, support, lower, nu, target, True, 0.1)
-        assert _dual_certificate_holds(a, support, lower, nu, target, False, 3.0)
-        np.testing.assert_array_equal(nu, [5.0, 0.2])
+        for c, x, general, signed in [
+            (below, below, True, True),
+            (above, below, False, False),
+            (below, above, False, True),
+        ]:
+            a = np.array([[1.0, 0.0, -x], [0.0, 1.0, 0.0]])
+            nu = np.array([5.0, c])
+            assert _dual_certificate_holds(a, support, lower, nu, target, False) is general
+            assert _dual_certificate_holds(a, support, lower, nu, target, True) is signed
+            np.testing.assert_array_equal(nu, [5.0, c])
 
 
 class TestPhaseGrid:
@@ -370,8 +374,9 @@ class TestPhaseGrid:
         assert run_phase_grid(grid) == run_phase_grid(grid)
 
     def test_diagnostics_merge(self):
-        d1 = TrialDiagnostics(solver_nonconverged=2)
-        d1.merge(TrialDiagnostics(solver_nonconverged=3))
+        d1 = TrialDiagnostics(tie=2, dual=1)
+        d1.merge(TrialDiagnostics(tie=3, cut=4))
+        assert (d1.tie, d1.dual, d1.cut, d1.exact) == (5, 1, 4, 0)
         assert d1.solver_nonconverged == 5
 
     def test_cells_carry_route_counts(self):

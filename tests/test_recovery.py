@@ -268,6 +268,19 @@ class TestObjectiveCutoff:
         assert (sol.iterations, sol.route) == (recovery._PLANTED_BUDGET, "undecided")
         assert not sol.converged
 
+    def test_rejects_planted_vector_off_the_measurements(self):
+        # 3 x0 has the support and signs of x0 but A (3 x0) != y, so a
+        # "dual" route would certify a vector that is not feasible; a NaN
+        # entry would run the whole budget.
+        a, x0, y = _sparse_instance(21, 30, 22, 3, Regime.GENERAL)
+        problem = BPProblem(A=a, y=y)
+        assert solve_bp(problem, planted=x0).route == "dual"
+        with pytest.raises(ValueError, match="planted does not solve"):
+            solve_bp(problem, planted=3.0 * x0)
+        x0[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_bp(problem, planted=x0)
+
     def test_default_is_unarmed(self):
         a, x0, y = self._failing_instance(Regime.GENERAL)
         sol = solve_bp(BPProblem(A=a, y=y))
