@@ -1,11 +1,13 @@
 """Unit tests for the basis-pursuit solvers (operator splitting + HiGHS simplex)."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from l1weak import recovery
 from l1weak.experiments import (
@@ -16,6 +18,7 @@ from l1weak.experiments import (
     run_trial,
     split_stream_seed,
 )
+from l1weak.linalg import cholesky_spd
 from l1weak.recovery import (
     BPProblem,
     InfeasibleError,
@@ -112,6 +115,63 @@ class TestSolveBP:
         sol = solve_bp(BPProblem(A=a, y=np.zeros(4)))
         assert sol.converged
         np.testing.assert_allclose(sol.x_hat, np.zeros(9), atol=1e-8)
+
+    @pytest.mark.parametrize(
+        ("regime", "iterations", "digest"),
+        [
+            (
+                Regime.GENERAL,
+                639,
+                "364d6344c0c64979add0c1f9d2ad84710cb6cb11b7f79a03a01dc96a04cdccae",
+            ),
+            (
+                Regime.SIGNED,
+                636,
+                "18e5e6f84093b01b59c6665acdecd44d6b7a18b8a225c36eb0892d2fbd0e21c0",
+            ),
+        ],
+        ids=["general", "signed"],
+    )
+    def test_unplanted_iterates_are_pinned(self, regime, iterations, digest):
+        # A solve without a planted vector runs at rho = 1 whatever the
+        # planted penalty, and its buffered iteration repeats the plain
+        # expressions' arithmetic, so x_hat matches them to the byte.  The
+        # digests were taken with NumPy 2.4's OpenBLAS 0.3.31 on its SkylakeX
+        # kernels; another BLAS kernel may round the products differently,
+        # which the plain reference follows and the digest does not.
+        a, x0, y = _sparse_instance(5, 120, 60, 20, regime)
+        sol = solve_bp(BPProblem(A=a, y=y, regime=regime))
+        plain, plain_iterations = _plain_admm(a, y, regime is Regime.SIGNED)
+        assert (sol.route, sol.iterations) == ("converged", plain_iterations)
+        assert sol.x_hat.tobytes() == plain.tobytes()
+        assert sol.iterations == iterations
+        assert hashlib.sha256(sol.x_hat.tobytes()).hexdigest() == digest
+
+
+def _plain_admm(a: np.ndarray, y: np.ndarray, signed: bool):
+    """The unplanted iteration as plain expressions at rho = 1: (z, iterations)."""
+    lower = cholesky_spd(a @ a.T)
+    w = solve_triangular(lower, a, lower=True)
+    c = solve_triangular(lower, y, lower=True)
+    tol_sq = 1e-18
+    feas_tol_sq = tol_sq * max(1.0, float(y @ y))
+    z = np.zeros(a.shape[1])
+    u = np.zeros(a.shape[1])
+    for iterations in range(1, 50_001):
+        v = z - u
+        x = v - w.T @ (w @ v - c)
+        x_relaxed = 1.8 * x + (1.0 - 1.8) * z
+        step = x_relaxed + u
+        z_prev = z
+        z = np.maximum(0.0, step - 1.0) if signed else step - np.clip(step, -1.0, 1.0)
+        u = u + x_relaxed - z
+        primal, dual = x - z, z - z_prev
+        scale_sq = tol_sq * max(1.0, float(x @ x), float(z @ z))
+        if float(primal @ primal) <= scale_sq and float(dual @ dual) <= scale_sq:
+            residual = a @ z - y
+            if float(residual @ residual) <= feas_tol_sq:
+                break
+    return z, iterations
 
 
 class TestSimplexReference:
@@ -306,11 +366,11 @@ def _trial_instance(index: int):
 #: (iterations, route, recovered) per ``_trial_instance`` index, as the
 #: witnessed trial decision reaches them.
 _FROZEN_TRIAL_OUTCOMES = [
-    (64, "cut", False), (48, "dual", True), (64, "cut", False), (8, "dual", True),
-    (1920, "cut", False), (32, "dual", True), (40, "dual", True), (24, "dual", True),
-    (64, "cut", False), (8, "dual", True), (64, "cut", False), (128, "cut", False),
-    (64, "cut", False), (8, "dual", True), (8, "dual", True), (72, "dual", True),
-    (64, "cut", False), (192, "cut", False), (16, "dual", True), (8, "dual", True),
+    (64, "cut", False), (48, "dual", True), (64, "cut", False), (16, "dual", True),
+    (832, "cut", False), (24, "dual", True), (32, "dual", True), (24, "dual", True),
+    (64, "cut", False), (8, "dual", True), (128, "cut", False), (64, "cut", False),
+    (64, "cut", False), (24, "dual", True), (8, "dual", True), (128, "dual", True),
+    (64, "cut", False), (64, "cut", False), (16, "dual", True), (8, "dual", True),
 ]
 
 
@@ -474,6 +534,9 @@ class TestSignedCut:
 
     @pytest.mark.parametrize(("trial", "route"), [(6, "exact"), (7, "exact"), (11, "dual")])
     def test_nnls_failure_never_decides(self, monkeypatch, trial, route):
+        # Without NNLS, trial 6's support fit cuts at iteration 1,536 and
+        # trial 7 finds no cut; a 1,024 budget keeps both on the exact route.
+        monkeypatch.setattr(recovery, "_PLANTED_BUDGET", 1_024)
         problem, x0 = _found_trial(trial)
         plain = _witnessed_outcome(problem.A, x0, problem.regime, TrialDiagnostics())
         calls = []
@@ -483,3 +546,30 @@ class TestSignedCut:
         assert calls
         assert recovered == plain == (route == "dual")
         assert diagnostics.routes()[route] == 1
+
+
+def test_planted_penalty_moves_no_outcome(monkeypatch):
+    # The planted penalty changes where and when a solve stops, never the
+    # trial's decision: every dual or cut stop is a witness that HiGHS
+    # confirms.  Both witnesses must still fire at every rho, which a dual
+    # check that forms nu from a stale rho would not.
+    instances = [_trial_instance(i) for i in range(len(_FROZEN_TRIAL_OUTCOMES))]
+    instances += [_signed_grid_trial(*args) for args in _SIGNED_CORPUS]
+    optima = [simplex_reference(problem).objective for problem, _ in instances]
+    decisions = []
+    for rho in (0.5, 1.0, 4.0, 8.0):
+        monkeypatch.setattr(recovery, "_PLANTED_RHO", {regime: rho for regime in Regime})
+        recovered, routes = [], set()
+        for (problem, x0), optimum in zip(instances, optima):
+            diagnostics = TrialDiagnostics()
+            recovered.append(_witnessed_outcome(problem.A, x0, problem.regime, diagnostics))
+            (route,) = [name for name, count in diagnostics.routes().items() if count]
+            routes.add(route)
+            planted_norm = float(np.abs(x0).sum())
+            if route == "dual":
+                assert abs(optimum - planted_norm) <= 1e-6, (rho, route)
+            elif route == "cut":
+                assert optimum < planted_norm - recovery._CUTOFF_MARGIN, (rho, route)
+        assert {"dual", "cut"} <= routes, rho
+        decisions.append(recovered)
+    assert all(d == decisions[0] for d in decisions)
