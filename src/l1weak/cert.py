@@ -513,8 +513,8 @@ def _dual_certificate_holds(
     off-support correlation a_j^T nu is at most 1 - _VERDICT_TOL/2 = 1 - 5e-7
     in absolute value (signed regime: from above).  This is the one place
     the strict dual certificate test and its bound live:
-    :func:`_strict_dual_certificate` and the planted-vector stop of
-    ``recovery.solve_bp`` both call it.
+    :func:`_strict_dual_certificate` and the witness stop of
+    ``recovery.solve_bp`` (planted or not) both call it.
     """
     a_support = a[:, support]
     nu = nu + a_support @ cho_solve((lower, True), target - a_support.T @ nu)

@@ -317,6 +317,7 @@ def _cmd_recover(args) -> ReportBundle:
         "feas_residual": float(solution.feas_residual),
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
+        "route": solution.route,
     }
     return ReportBundle(json=_emit_json(payload))
 

@@ -10,41 +10,41 @@ projection onto {A x = y}, v - W^T (W v - c) with W = L^{-1} A and
 c = L^{-1} y factored once per solve from the Cholesky factor L of A A^T
 (Boyd et al. 2011, section 4.2: factorization caching); the z-step
 is the l1 prox (soft threshold) or the nonnegative shifted clip, with
-over-relaxation 1.8 and a fixed penalty rho.  The returned iterate is the
-z-iterate — exactly sparse after thresholding (general) or exactly
-nonnegative (signed) — and convergence additionally requires the z-iterate's
-own feasibility residual to be small, so the reported solution satisfies the
-feasibility invariant directly rather than through an operator-norm bound.
+over-relaxation 1.8 and a fixed penalty rho per regime, 0.75 (general) and
+4 (signed).  Rho moves only the iteration at which a witness appears, never
+which witness exists; on the n = 200 phase grids the signed regime reaches
+its witnesses in about half the iterations at rho = 4 that it needs at
+rho = 1 (Boyd et al. 2011, section 3.4.1, on the penalty's effect on
+convergence).
 
-Given the planted vector x0 of a Monte Carlo trial, ``solve_bp`` instead
-stops on a witness.  ADMM's own scaled dual makes rho * u a subgradient of
-the objective at z after every z-step; projected onto range(A^T) and
-corrected onto the support equations it is a strict dual certificate
-(Fuchs 2004) that x0 is the unique optimum.  A feasible point strictly
-below ||x0||_1 proves the opposite.  A solve that finds neither within a
-fixed budget returns undecided, and the caller decides exactly.
-
-A solve without x0 runs at rho = 1.  A planted solve runs at a fixed rho
-per regime, 0.75 (general) and 4 (signed): rho moves only the iteration at
-which a witness appears, never which witness exists, and on the n = 200
-phase grids the signed regime reaches its witnesses in about half the
-iterations at rho = 4 that it needs at rho = 1 (Boyd et al. 2011, section
-3.4.1, on the penalty's effect on convergence).  W and c do not depend on
-rho, so the choice costs no factorization.
+Every solve has one stop rule: a witness, or its budget.  ADMM's own scaled
+dual makes rho * u a subgradient of the objective at z after every z-step;
+projected onto range(A^T) and corrected onto the equations of a support S it
+is a strict dual certificate (Fuchs 2004) that the feasible point on S is
+the unique optimum.  Without a planted vector, S is the iterate's support and
+the point is the fit of y on those columns; a certified fit is returned as
+an exact vertex, and a solve with no certificate within its budget returns
+the exact LP oracle's vertex instead.  Given the planted vector x0 of a
+Monte Carlo trial, S is x0's support, and a feasible point strictly below
+||x0||_1 proves the opposite; a solve that finds neither witness within its
+budget returns undecided, and the caller decides exactly.  No answer rests
+on a residual tolerance or on where an iteration cap cut the iterate off.
 
 ``simplex_reference`` is the exactness oracle: the HiGHS dual simplex
 (``scipy.optimize.linprog(method="highs-ds")``) on the standard split
 x = t+ - t- (general) or on the nonnegative variables directly (signed).
 Its vertex solutions make the objective exact, which is what the
-cross-validation tolerances lean on, and it shares no code with the ADMM.
+cross-validation tolerances lean on, and it shares no solver code with the
+ADMM.  Since ``solve_bp`` falls back on it, a cross-check of the two means
+something only for a solve that ends on route "vertex".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lstsq, solve_triangular
+from scipy.linalg import cho_solve, lstsq, solve_triangular
 from scipy.optimize import linprog, nnls
 
 from .cert import _dual_certificate_holds
@@ -60,19 +60,17 @@ __all__ = [
     "check_recovery",
 ]
 
-#: Penalty of a solve without a planted vector (``l1weak recover``, the
-#: solver cross-validation of acceptance criterion 7).
-_ADMM_RHO = 1.0
-#: Penalty of a planted solve, per regime.  Rho moves only how fast a planted
-#: solve finds its witness, never the trial's outcome; these values come from
-#: a sweep over the seed-11 criterion-5 grids at n = 200.
-_PLANTED_RHO = {Regime.GENERAL: 0.75, Regime.SIGNED: 4.0}
+#: Penalty per regime.  Rho moves only how fast a solve finds its witness,
+#: never which witness exists; these values come from a sweep over the
+#: seed-11 criterion-5 grids at n = 200.
+_RHO = {Regime.GENERAL: 0.75, Regime.SIGNED: 4.0}
 _ADMM_RELAX = 1.8
-_ADMM_TOL = 1e-9
-_ADMM_MAX_ITERS = 50_000
-#: Iteration budget of a solve given the planted vector; past it the caller
-#: decides the trial exactly.
-_PLANTED_BUDGET = 2_048
+#: Relative feasibility tolerance of a certified point: ||A x - y||^2 is at
+#: most its square times max(1, ||y||^2).
+_FEAS_TOL = 1e-9
+#: Iteration budget of every solve; past it the solve (or, given a planted
+#: vector, its caller) decides exactly.
+_BUDGET = 2_048
 _DUAL_CHECK_PERIOD = 8
 _CUTOFF_CHECK_PERIOD = 64
 #: Round-off margin of the primal cut below ||x0||_1.
@@ -99,9 +97,8 @@ class BPProblem:
             raise ValueError(f"A must be nonempty, got shape {a.shape}")
         if m > n:
             raise ValueError(f"A must have m <= n, got shape {a.shape}")
-        y = _as_vector("y", self.y, m)
         object.__setattr__(self, "A", a)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", _as_vector("y", self.y, m))
         object.__setattr__(self, "regime", Regime.coerce(self.regime))
 
     @property
@@ -117,11 +114,15 @@ class BPProblem:
 class BPSolution:
     """Solver output: recovered vector, objective, feasibility, iteration stats.
 
-    ``converged`` means the residual test passed; a planted solve runs no
-    residual test and reports False.  ``route`` says why the solve stopped:
-    "converged" or "capped" (the 50,000-iteration cap) without a planted
-    vector; "dual" (x0 certified optimal), "cut" (a feasible point strictly
-    below ||x0||_1) or "undecided" with one; None from the exact LP oracle.
+    ``route`` says why the solve stopped.  Without a planted vector: "vertex"
+    (a fit on supp(z) carries a strict dual certificate, so x_hat is the
+    unique optimum) or "exact" (no certificate within the budget; x_hat is
+    the HiGHS vertex and ``iterations`` counts the operator-splitting
+    iterations spent).  With one: "dual" (x0 certified the unique optimum),
+    "cut" (a feasible point strictly below ||x0||_1) or "undecided"; x_hat is
+    then the z-iterate.  None from the exact LP oracle itself.
+    ``converged`` means x_hat is an optimum, certified or exact: True for
+    "vertex", "exact" and the LP oracle, False for a planted solve.
     """
 
     x_hat: np.ndarray
@@ -134,43 +135,44 @@ class BPSolution:
 
 @one_blas_thread
 def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolution:
-    """Operator-splitting solution of the basis-pursuit problem.
-
-    Stops when the primal residual ||x - z||, the dual residual
-    rho * ||z - z_prev||, and the feasibility residual ||A z - y|| all drop
-    below 1e-9 times their natural scales, or after 5*10^4 iterations
-    (converged=False).  Raises a rank-deficiency error when A A^T is
-    singular.
+    """Operator-splitting solution of the basis-pursuit problem, stopped by a witness.
 
     The affine projection is factored once per solve: with L the Cholesky
     factor of A A^T, W = L^{-1} A and c = L^{-1} y, the projection of v is
-    v - W^T (W v - c), two matrix-vector products per iteration.
+    v - W^T (W v - c), two matrix-vector products per iteration.  The
+    penalty is the regime's rho, 0.75 (general) or 4 (signed), and every
+    solve has a budget of 2,048 iterations.  Raises a rank-deficiency error
+    when A A^T is singular.
 
-    ``planted`` (a finite vector x0 with A x0 = y) makes the solve decide
-    whether basis pursuit returns x0, with no residual test, at the
-    regime's planted penalty: rho = 0.75 (general) or 4 (signed) in place
-    of 1, since rho moves the iteration at which a witness appears, not
-    which witness exists.  A ValueError rejects an x0 whose ||A x0 - y||^2
-    exceeds the feasibility bound 1e-18 max(1, ||y||^2), since a
-    certificate for it would certify a vector the problem does not have:
+    A support S with signs s is a candidate when A_S is injective and the
+    fit x_S of y on A_S, solved through the Cholesky factor of A_S^T A_S,
+    meets the feasibility bound ||A_S x_S - y||^2 <= 1e-18 max(1, ||y||^2)
+    with sign(x_S) = s.  Every 8 iterations while supp(z) is S with the
+    signs s, rho * u (a subgradient of the objective at z) gives
+    nu = L^{-T} W (rho u), which is corrected onto A_S^T nu = s; every
+    off-support correlation at most 1 - 5e-7 (signed regime: from above) is
+    a strict dual certificate (Fuchs 2004) that x_S is the unique optimum.
 
-    - every 8 iterations, if supp(z) is supp(x0) with its signs, rho * u
-      (a subgradient of the objective at z) gives nu = L^{-T} W (rho u),
-      which is corrected onto A_S^T nu = sign(x0_S) through the Cholesky
-      factor of A_S^T A_S; every off-support correlation at most 1 - 5e-7
-      (signed regime: from above) is a strict dual certificate that x0 is
-      the unique optimum (route "dual");
+    Without ``planted``, S = supp(z) and s = sign(z_S), refitted only when
+    supp(z) changes; s = sign(z_S) makes x_S > 0 in the signed regime.  A
+    certificate returns x_S (route "vertex").  A solve with no certificate
+    within the budget returns ``simplex_reference``'s exact vertex (route
+    "exact", with the operator-splitting iterations spent), which raises
+    :class:`InfeasibleError` on infeasible data.
+
+    ``planted`` (a finite vector x0 within the feasibility bound, else a
+    ValueError) makes the solve decide whether basis pursuit returns x0
+    instead, on S = supp(x0) with its signs, where x_S is x0_S:
+
+    - a dual certificate proves that x0 is the unique optimum (route "dual");
     - every 64 iterations, a feasible candidate with objective below
       ||x0||_1 - 1e-6 proves that x0 is not optimal (route "cut"): a
       least-squares fit on the current support, or in the signed regime
       nonnegative least squares on that support joined with supp(x0) (see
       ``_cutoff_certified``); a check whose support equals the previous
       check's is skipped, since the candidates depend on the support alone;
-    - a solve that finds neither witness within a budget of 2,048
-      iterations is "undecided".
-
-    A rank-deficient A_S is never certified.  The default None leaves the
-    iteration, its stop rule and its cap untouched.
+    - a solve that finds neither witness within the budget is "undecided",
+      and the caller decides exactly.  It returns the z-iterate.
     """
     a, y = problem.A, problem.y
     n = problem.n
@@ -178,26 +180,19 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     w = solve_triangular(lower, a, lower=True)
     c = solve_triangular(lower, y, lower=True)
 
-    rho = _ADMM_RHO
+    rho = _RHO[problem.regime]
     signed = problem.regime is Regime.SIGNED
-    max_iters = _ADMM_MAX_ITERS
-    tol_sq = _ADMM_TOL * _ADMM_TOL
-    feas_tol_sq = tol_sq * max(1.0, float(y @ y))
+    feas_tol_sq = _FEAS_TOL * _FEAS_TOL * max(1.0, float(y @ y))
+    support_lower = support = None
     if planted is not None:
         planted = _as_vector("planted", planted, n)
         mismatch = a @ planted - y
         if not float(mismatch @ mismatch) <= feas_tol_sq:
             raise ValueError("planted does not solve A x = y to the solver's feasibility bound")
-        max_iters = _PLANTED_BUDGET
-        rho = _PLANTED_RHO[problem.regime]
         support = np.flatnonzero(planted)
         signs = np.sign(planted[support])
         cutoff = float(np.abs(planted).sum()) - _CUTOFF_MARGIN
-        a_support = a[:, support]
-        try:
-            support_lower = cholesky_spd(a_support.T @ a_support)
-        except RankDeficiencyError:
-            support_lower = None
+        support_lower, _ = _vertex_fit(a, y, support, signs, feas_tol_sq)
     inv_rho = 1.0 / rho
     # Preallocated iterates: every step writes into its buffer with ``out=``
     # in the order of the plain expressions, so the iterates are bit-identical
@@ -212,11 +207,9 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     residual_m = np.empty(problem.m)
     w_t = w.T
     relax_rest = 1.0 - _ADMM_RELAX
-    # The empty support never certifies, so it doubles as "nothing checked".
-    checked_support = np.empty(0, dtype=np.intp)
-    iterations = 0
-    route = "capped" if planted is None else "undecided"
-    for iterations in range(1, max_iters + 1):
+    checked_support = None
+    route = "exact" if planted is None else "undecided"
+    for iterations in range(1, _BUDGET + 1):
         # v = z - u;  x = v - W^T (W v - c)
         np.subtract(z, u, out=v)
         np.matmul(w, v, out=residual_m)
@@ -242,28 +235,23 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
         u += x_relaxed
         u -= z
 
-        if planted is None:
-            # v and step are free until the next iteration.
-            primal = np.subtract(x, z, out=v)
-            dual = np.subtract(z, z_prev, out=step)
-            scale_sq = tol_sq * max(1.0, float(x @ x), float(z @ z))
-            if float(primal @ primal) <= scale_sq and rho * rho * float(dual @ dual) <= scale_sq:
-                residual = a @ z - y
-                if float(residual @ residual) <= feas_tol_sq:
-                    route = "converged"
-                    break
+        if iterations % _DUAL_CHECK_PERIOD:
             continue
+        if planted is None:
+            current = np.flatnonzero(z)
+            if not np.array_equal(current, support):
+                support, signs = current, np.sign(z[current])
+                support_lower, coeffs = _vertex_fit(a, y, support, signs, feas_tol_sq)
         if (
-            iterations % _DUAL_CHECK_PERIOD == 0
-            and support_lower is not None
+            support_lower is not None
             and np.count_nonzero(z) == support.size
             and np.all(z[support] * signs > 0.0)
         ):
             nu = solve_triangular(lower, w @ (rho * u), lower=True, trans="T")
             if _dual_certificate_holds(a, support, support_lower, nu, signs, signed):
-                route = "dual"
+                route = "dual" if planted is not None else "vertex"
                 break
-        if iterations % _CUTOFF_CHECK_PERIOD == 0:
+        if planted is not None and iterations % _CUTOFF_CHECK_PERIOD == 0:
             current = np.flatnonzero(z)
             if not np.array_equal(current, checked_support):
                 checked_support = current
@@ -271,15 +259,48 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
                     route = "cut"
                     break
 
-    feas = float(np.linalg.norm(a @ z - y))
+    if route == "exact":
+        return replace(simplex_reference(problem), iterations=iterations, route=route)
+    if route == "vertex":
+        z = np.zeros(n)
+        z[support] = coeffs
+    return _solution(problem, z, iterations, planted is None, route)
+
+
+def _solution(problem: BPProblem, x, iterations: int, converged: bool, route=None) -> BPSolution:
+    """``x`` with its l1 norm and its feasibility residual ||A x - y||."""
     return BPSolution(
-        x_hat=z,
-        objective=float(np.abs(z).sum()),
-        feas_residual=feas,
+        x_hat=x,
+        objective=float(np.abs(x).sum()),
+        feas_residual=float(np.linalg.norm(problem.A @ x - problem.y)),
         iterations=iterations,
-        converged=route == "converged",
+        converged=converged,
         route=route,
     )
+
+
+def _vertex_fit(
+    a: np.ndarray, y: np.ndarray, support: np.ndarray, signs: np.ndarray, feas_tol_sq: float
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Cholesky factor of A_S^T A_S and the fit x_S of y on A_S, or (None, None).
+
+    The fit solves the normal equations through that factor.  It is kept only
+    when ||A_S x_S - y||^2 <= ``feas_tol_sq`` and sign(x_S) = ``signs``: a
+    fit off A x = y, which a y outside range(A_S) gives, is no candidate
+    however well its signs match.  A support wider than m, or a rank-deficient
+    A_S, gives none.
+    """
+    if support.size <= a.shape[0]:
+        a_support = a[:, support]
+        try:
+            support_lower = cholesky_spd(a_support.T @ a_support)
+        except RankDeficiencyError:
+            return None, None
+        coeffs = cho_solve((support_lower, True), a_support.T @ y)
+        residual = a_support @ coeffs - y
+        if float(residual @ residual) <= feas_tol_sq and np.all(coeffs * signs > 0.0):
+            return support_lower, coeffs
+    return None, None
 
 
 def _cutoff_certified(
@@ -369,13 +390,7 @@ def simplex_reference(problem: BPProblem) -> BPSolution:
     if result.status != 0:
         raise RuntimeError(f"simplex oracle failed: {result.message}")
     x = result.x if signed else result.x[: problem.n] - result.x[problem.n :]
-    return BPSolution(
-        x_hat=x,
-        objective=float(np.abs(x).sum()),
-        feas_residual=float(np.linalg.norm(a @ x - y)),
-        iterations=int(result.nit),
-        converged=True,
-    )
+    return _solution(problem, x, int(result.nit), True)
 
 
 def check_recovery(x0, sol: BPSolution, tol: float = 1e-4) -> bool:

@@ -310,7 +310,7 @@ def test_criterion_7_solver_cross_validation():
     start = time.perf_counter()
     rng = np.random.default_rng(777)
     worst = 0.0
-    nonconverged = 0
+    uncertified = 0
     for i in range(30):
         regime = REGIMES[i % 2]
         n = int(rng.integers(30, 101))
@@ -326,16 +326,18 @@ def test_criterion_7_solver_cross_validation():
         problem = BPProblem(A=a, y=a @ x0, regime=regime)
         splitting = solve_bp(problem)
         exact = simplex_reference(problem)
-        if not splitting.converged:
-            nonconverged += 1
+        # A solve that falls back on the exact oracle would agree with it
+        # vacuously, so every instance must end on a vertex certificate.
+        if splitting.route != "vertex":
+            uncertified += 1
         worst = max(worst, abs(splitting.objective - exact.objective))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and nonconverged == 0
+    ok = worst <= 1e-6 and uncertified == 0
     _report(
         7,
         ok,
         f"30 instances: max |splitting - simplex| objective gap = {worst:.3e} "
-        f"(bound 1e-6), {nonconverged} non-converged; {elapsed:.1f}s",
+        f"(bound 1e-6), {uncertified} not certified on a vertex; {elapsed:.1f}s",
     )
     assert ok
 

@@ -226,9 +226,32 @@ class TestRecoverVerb:
             "feas_residual",
             "iterations",
             "converged",
+            "route",
         }
         assert payload["converged"] is True
+        assert payload["route"] == "vertex"
         np.testing.assert_allclose(payload["x_hat"], x0, atol=1e-5)
+
+    def test_tie_reports_the_exact_route(self, tmp_path):
+        # min |x1| + |x2| s.t. x1 - x2 = 1 is optimal on a whole segment: no
+        # strict certificate exists, so the exact vertex answers.
+        mpath, ypath = tmp_path / "a.csv", tmp_path / "y.csv"
+        _write_matrix(mpath, np.array([[1.0, -1.0]]))
+        _write_vector(ypath, [1.0])
+        code, bundle = dispatch(["recover", "--matrix", str(mpath), "--y", str(ypath)])
+        assert code == 0
+        payload = json.loads(bundle.json)
+        assert (payload["route"], payload["converged"]) == ("exact", True)
+        assert payload["objective"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_infeasible_nonneg_is_exit_1(self, tmp_path, capsys):
+        # A x = y with x >= 0 has no solution when A >= 0 and y < 0.
+        mpath, ypath = tmp_path / "a.csv", tmp_path / "y.csv"
+        mpath.write_text("1.0,2.0,0.5\n")
+        _write_vector(ypath, [-1.0])
+        argv = ["recover", "--matrix", str(mpath), "--y", str(ypath), "--nonneg"]
+        assert dispatch(argv) == (1, None)
+        assert "no feasible point" in capsys.readouterr().err
 
     def test_nonneg_flag(self, tmp_path):
         rng = np.random.default_rng(7)

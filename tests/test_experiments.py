@@ -171,7 +171,7 @@ class TestWitnessedTrial:
         from l1weak import recovery
         from l1weak.recovery import BPProblem, simplex_reference
 
-        monkeypatch.setattr(recovery, "_PLANTED_BUDGET", 1)
+        monkeypatch.setattr(recovery, "_BUDGET", 1)
         n, m = 40, 20
         k = 8 if regime is Regime.GENERAL else 10
         outcomes = []
