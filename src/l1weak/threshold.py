@@ -162,14 +162,29 @@ def char_residual(
     factor f scales the fraction (not the whole argument).
 
     The root of side='lower' at eps=0 is theta_hat, the fundamental
-    characterization of the regime's weak threshold.
+    characterization of the regime's weak threshold.  This is the residual
+    that :func:`solve_theta` builds once per root, with every argument but
+    theta validated once, and evaluated here at the one theta.
+    """
+    return _residual_function(regime, beta, eps1_c, eps2_c, side)(theta)
+
+
+def _residual_function(
+    regime: Regime,
+    beta: float,
+    eps1_c: float = 0.0,
+    eps2_c: float = 0.0,
+    side: str = "lower",
+):
+    """:func:`char_residual` as a function of theta alone.
+
+    Validates every other argument here, once, with the errors
+    :func:`char_residual` raises; the returned function checks only that
+    theta lies in (beta, 1) before evaluating the formula.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
-    theta = float(theta)
     beta = _check_beta(beta)
-    if not math.isfinite(theta) or not beta < theta < 1.0:
-        raise ValueError(f"theta must lie in (beta, 1), got {theta!r}")
     for name, value in (("eps1_c", eps1_c), ("eps2_c", eps2_c)):
         if not 0.0 <= float(value) < 0.1:
             raise ValueError(f"{name} must lie in [0, 0.1), got {value!r}")
@@ -181,22 +196,27 @@ def char_residual(
         density_factor = 1.0 + eps2_c
         erfinv_factor = 1.0 - eps2_c
 
-    ratio = (1.0 - theta) / (1.0 - beta)
-    if regime is Regime.GENERAL:
-        exponent_arg = ratio
-        standalone_arg = erfinv_factor * ratio
-        density = _SQRT_2_OVER_PI
-    else:
-        exponent_arg = 2.0 * ratio - 1.0
-        standalone_arg = 2.0 * erfinv_factor * ratio - 1.0
-        density = _SQRT_1_OVER_2PI
+    tail = 1.0 - beta
+    signed = regime is Regime.SIGNED
+    density = _SQRT_1_OVER_2PI if signed else _SQRT_2_OVER_PI
 
-    e0 = erfinv(exponent_arg)  # raises DomainError outside (-1, 1)
-    standalone = erfinv(standalone_arg)
-    return (
-        density_factor * (1.0 - beta) * density * math.exp(-e0 * e0) / theta
-        - _SQRT2 * standalone
-    )
+    def residual(theta: float) -> float:
+        theta = float(theta)
+        if not math.isfinite(theta) or not beta < theta < 1.0:
+            raise ValueError(f"theta must lie in (beta, 1), got {theta!r}")
+        ratio = (1.0 - theta) / tail
+        if signed:
+            e0 = erfinv(2.0 * ratio - 1.0)  # raises DomainError outside (-1, 1)
+            standalone = erfinv(2.0 * erfinv_factor * ratio - 1.0)
+        else:
+            e0 = erfinv(ratio)
+            standalone = erfinv(erfinv_factor * ratio)
+        return (
+            density_factor * tail * density * math.exp(-e0 * e0) / theta
+            - _SQRT2 * standalone
+        )
+
+    return residual
 
 
 def _bracket_interval(beta: float, eps: EpsilonSet, side: str):
@@ -228,24 +248,29 @@ def solve_theta(
     single sign change on a grid of betas, sides and epsilons).  So one run
     of Brent's method (``scipy.optimize.brentq``) on the whole domain finds
     the root to machine precision in theta; |residual| <= 1e-11 is checked
-    at the end.  Raises :class:`BracketError` when the residual has the same
-    sign at both ends.
+    at the end.  The arguments are validated once per root, and Brent runs
+    the returned residual, whose evaluations at the two ends of the domain
+    are also the sign check.  Raises :class:`BracketError` when the residual
+    has the same sign at both ends.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
     beta = _check_beta(beta)
     eps = EpsilonSet() if eps is None else eps
     lo, hi = _bracket_interval(beta, eps, side)
+    residual = _residual_function(regime, beta, eps.eps1_c, eps.eps2_c, side)
 
-    def residual(theta: float) -> float:
-        return char_residual(regime, theta, beta, eps.eps1_c, eps.eps2_c, side)
-
-    if residual(lo) * residual(hi) > 0.0:
-        raise BracketError(
-            f"no sign change of the {regime.value} {side} characterization on "
-            f"({lo!r}, {hi!r}) for beta={beta!r}"
-        )
-    theta = brentq(residual, lo, hi, xtol=1e-16)
+    try:
+        theta = brentq(residual, lo, hi, xtol=1e-16)
+    except ValueError:
+        # Brent's own refusal of a bracket without a sign change; any other
+        # ValueError (a DomainError from erfinv) is raised as it is.
+        if residual(lo) * residual(hi) > 0.0:
+            raise BracketError(
+                f"no sign change of the {regime.value} {side} characterization on "
+                f"({lo!r}, {hi!r}) for beta={beta!r}"
+            ) from None
+        raise
     final = residual(theta)
     if abs(final) > 1e-11:
         raise BracketError(

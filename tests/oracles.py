@@ -8,7 +8,9 @@ bisection, and the characterizations are re-transcribed from scratch.
 Frozen constants in the unit tests carry a comment pointing back at the
 generating function here; rerun ``python tests/oracles.py`` to regenerate
 them.  The certificate number tau is evaluated in double precision by
-:func:`tau_primal`, from SciPy's null space and NNLS alone.
+:func:`tau_primal`, from SciPy's null space and NNLS alone, and the
+basis-pursuit optimum by :func:`basis_pursuit_optimum`, from SciPy's HiGHS
+dual simplex at tolerances tighter than its defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 mp.mp.dps = 60
 
@@ -208,6 +210,37 @@ def tau_primal(a, support, signs, regime: str) -> float:
     # SciPy's nnls aborts the process on a matrix with no columns.
     v = q + cone.T @ nnls(cone.T, -q)[0] if cone.shape[0] else q
     return -float(np.linalg.norm(v))
+
+
+#: HiGHS primal and dual feasibility tolerances, 1e-7 by default.  At the
+#: defaults the l1 norm of its vertex strays from a certified vertex's by up
+#: to 5.2e-9 at n = 200; tightened, its optimal value agrees to 5.4e-10.
+_BP_FEASIBILITY_TOL = 1e-10
+
+
+def basis_pursuit_optimum(a, y, signed: bool) -> float:
+    """min ||x||_1 subject to A x = y, and x >= 0 when ``signed``.
+
+    Written as the LP min 1^T (u + v), A (u - v) = y, u, v >= 0
+    (min 1^T x, A x = y, x >= 0 when signed) and solved by the HiGHS dual
+    simplex with primal and dual feasibility tolerances of 1e-10; returns
+    the LP's optimal value as HiGHS reports it.  Raises ``RuntimeError``
+    unless HiGHS reports an optimum.
+    """
+    a = np.asarray(a, dtype=float)
+    columns = a if signed else np.hstack([a, -a])
+    tol = _BP_FEASIBILITY_TOL
+    result = linprog(
+        np.ones(columns.shape[1]),
+        A_eq=columns,
+        b_eq=np.asarray(y, dtype=float),
+        bounds=(0, None),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
+    )
+    if result.status != 0:
+        raise RuntimeError(f"basis-pursuit oracle failed: {result.message}")
+    return float(result.fun)
 
 
 def _fmt(value) -> str:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from l1weak import threshold
 from l1weak.threshold import (
     BracketError,
     _bracket_interval,
@@ -47,6 +49,10 @@ betas = st.floats(min_value=0.02, max_value=0.97)
 # residual, the property solve_theta's one Brent bracket rests on, is checked.
 SIGN_CHANGE_BETAS = [0.01] + [round(0.05 * i, 2) for i in range(1, 20)] + [0.99]
 SIGN_CHANGE_EPS = [0.0, 0.01, 0.0999]
+
+# The benchmark's curve grid: both regimes and sides over these betas at
+# epsilon = 0.01, 396 roots.
+CURVE_BETAS = [round(0.01 * i, 2) for i in range(1, 100)]
 
 
 class TestCharResidual:
@@ -151,6 +157,56 @@ class TestSolveTheta:
         assert len(changes) == 1
         cell = changes[0]
         assert grid[cell] <= solve_theta(regime, beta, eps, side=side) <= grid[cell + 1]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("eps_value", SIGN_CHANGE_EPS)
+    def test_root_is_brent_on_the_public_residual(self, regime, side, eps_value):
+        # solve_theta runs a residual it builds once; Brent on the public
+        # char_residual, with the same bracket and tolerance, must return
+        # the same float, not merely a close one.
+        eps = EpsilonSet(eps1_c=eps_value, eps2_c=eps_value)
+        for beta in SIGN_CHANGE_BETAS:
+            public = brentq(
+                lambda t: char_residual(regime, t, beta, eps_value, eps_value, side),
+                *_bracket_interval(beta, eps, side),
+                xtol=1e-16,
+            )
+            assert solve_theta(regime, beta, eps, side=side) == public
+
+    @pytest.mark.parametrize(
+        ("regime", "beta", "message"),
+        [
+            (Regime.GENERAL, 0.99999, "no sign change of the general lower characterization"),
+            (Regime.SIGNED, 0.9999999, "root solve stalled"),
+            (Regime.GENERAL, 0.999999999, "empty theta domain"),
+            (Regime.SIGNED, 0.999999999, "empty theta domain"),
+        ],
+    )
+    def test_failures_near_beta_one(self, regime, beta, message):
+        eps = EpsilonSet(eps1_c=0.05, eps2_c=0.05)
+        with pytest.raises(BracketError, match=message):
+            solve_theta(regime, beta, eps)
+
+    def test_erfinv_calls_on_the_curve_grid(self, monkeypatch):
+        # Two erfinv calls per residual evaluation: Brent's evaluations,
+        # its two bracket ends among them, plus the final residual check.
+        # A separate sign check that evaluates the ends again reads 10,284.
+        calls = 0
+        erfinv = threshold.erfinv
+
+        def counting(p):
+            nonlocal calls
+            calls += 1
+            return erfinv(p)
+
+        monkeypatch.setattr(threshold, "erfinv", counting)
+        eps = EpsilonSet(eps1_c=0.01, eps2_c=0.01)
+        for regime in Regime:
+            for side in ("lower", "upper"):
+                for beta in CURVE_BETAS:
+                    solve_theta(regime, beta, eps, side=side)
+        assert calls == 8700
 
 
 class TestEpsilonSet:
