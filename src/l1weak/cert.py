@@ -106,17 +106,17 @@ class SupportPattern:
     """Sparsity pattern: dimension n, support indices (0-based), entry signs.
 
     ``signs[j]`` is the sign of the nonzero entry at ``support[j]``; in the
-    signed regime every sign must be +1.
+    signed regime every sign must be +1.  Omitted, the signs are all +1.
     """
 
     n: int
     support: tuple[int, ...]
-    signs: tuple[int, ...]
+    signs: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         n = int(self.n)
         support = tuple(int(i) for i in self.support)
-        signs = tuple(int(s) for s in self.signs)
+        signs = (1,) * len(support) if self.signs is None else tuple(int(s) for s in self.signs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "signs", signs)
@@ -137,13 +137,6 @@ class SupportPattern:
     @property
     def k(self) -> int:
         return len(self.support)
-
-    @classmethod
-    def from_indices(cls, n: int, support, signs=None) -> "SupportPattern":
-        support = tuple(int(i) for i in support)
-        if signs is None:
-            signs = (1,) * len(support)
-        return cls(n=n, support=support, signs=tuple(int(s) for s in signs))
 
 
 def _check_pattern(pattern: SupportPattern, regime: Regime, n_cols: int) -> None:
@@ -252,11 +245,10 @@ class TauCertificate:
 
 @dataclass(frozen=True)
 class NspVerdict:
-    """Three-way recovery verdict for (A, pattern), with the tau certificate it rests on."""
+    """Three-way verdict for (A, pattern) at tolerance 1e-6, with its tau certificate."""
 
     verdict: str
     certificate: TauCertificate
-    tolerance: float
 
     def __post_init__(self) -> None:
         if self.verdict not in (CERTIFIED_FAILURE, CERTIFIED_SUCCESS, INCONCLUSIVE):
@@ -548,12 +540,12 @@ def classify_nsp(A, pattern: SupportPattern, regime: Regime = Regime.GENERAL) ->
         and verify_certificate(a, pattern, cert, regime)
         and nullspace_objective(cert.w_witness, pattern, regime) < -_VERDICT_TOL
     ):
-        return NspVerdict(verdict=CERTIFIED_FAILURE, certificate=cert, tolerance=_VERDICT_TOL)
+        return NspVerdict(verdict=CERTIFIED_FAILURE, certificate=cert)
     if abs(cert.tau) <= _VERDICT_TOL:
         signs = np.array(pattern.signs, dtype=float)
         if _strict_dual_certificate(b, projector, signs, regime, cert.z_witness[order]):
-            return NspVerdict(verdict=CERTIFIED_SUCCESS, certificate=cert, tolerance=_VERDICT_TOL)
-    return NspVerdict(verdict=INCONCLUSIVE, certificate=cert, tolerance=_VERDICT_TOL)
+            return NspVerdict(verdict=CERTIFIED_SUCCESS, certificate=cert)
+    return NspVerdict(verdict=INCONCLUSIVE, certificate=cert)
 
 
 def construct_counterexample(

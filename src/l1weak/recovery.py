@@ -121,7 +121,7 @@ class BPSolution:
     iterations spent).  With one: "dual" (x0 certified the unique optimum),
     "cut" (a feasible point strictly below ||x0||_1) or "undecided"; x_hat is
     then the z-iterate.  None from the exact LP oracle itself.
-    ``converged`` means x_hat is an optimum, certified or exact: True for
+    ``converged``, read from the route, means x_hat is an optimum: True for
     "vertex", "exact" and the LP oracle, False for a planted solve.
     """
 
@@ -129,8 +129,11 @@ class BPSolution:
     objective: float
     feas_residual: float
     iterations: int
-    converged: bool
     route: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.route in (None, "vertex", "exact")
 
 
 @one_blas_thread
@@ -264,17 +267,16 @@ def solve_bp(problem: BPProblem, planted: np.ndarray | None = None) -> BPSolutio
     if route == "vertex":
         z = np.zeros(n)
         z[support] = coeffs
-    return _solution(problem, z, iterations, planted is None, route)
+    return _solution(problem, z, iterations, route)
 
 
-def _solution(problem: BPProblem, x, iterations: int, converged: bool, route=None) -> BPSolution:
+def _solution(problem: BPProblem, x, iterations: int, route=None) -> BPSolution:
     """``x`` with its l1 norm and its feasibility residual ||A x - y||."""
     return BPSolution(
         x_hat=x,
         objective=float(np.abs(x).sum()),
         feas_residual=float(np.linalg.norm(problem.A @ x - problem.y)),
         iterations=iterations,
-        converged=converged,
         route=route,
     )
 
@@ -390,7 +392,7 @@ def simplex_reference(problem: BPProblem) -> BPSolution:
     if result.status != 0:
         raise RuntimeError(f"simplex oracle failed: {result.message}")
     x = result.x if signed else result.x[: problem.n] - result.x[problem.n :]
-    return _solution(problem, x, int(result.nit), True)
+    return _solution(problem, x, int(result.nit))
 
 
 def check_recovery(x0, sol: BPSolution, tol: float = 1e-4) -> bool:

@@ -112,24 +112,23 @@ class EpsilonSet:
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """One point (beta, theta_hat, alpha) on a weak-threshold curve."""
+    """Point (beta, theta_hat) of a weak-threshold curve; ``alpha`` = alpha_w(beta) = theta_hat."""
 
     beta: float
     theta_hat: float
-    alpha: float
     regime: Regime
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not self.beta < self.alpha < 1.0:
-            raise ValueError(
-                f"alpha must lie in (beta, 1) = ({self.beta!r}, 1), got {self.alpha!r}"
-            )
         if not self.beta < self.theta_hat < 1.0:
             raise ValueError(
                 f"theta_hat must lie in (beta, 1), got {self.theta_hat!r}"
             )
+
+    @property
+    def alpha(self) -> float:
+        return self.theta_hat
 
 
 def _check_beta(beta: float) -> float:
@@ -166,21 +165,23 @@ def char_residual(
     that :func:`solve_theta` builds once per root, with every argument but
     theta validated once, and evaluated here at the one theta.
     """
-    return _residual_function(regime, beta, eps1_c, eps2_c, side)(theta)
+    return _residual_function(regime, beta, eps1_c, eps2_c, side, {})(theta)
 
 
 def _residual_function(
     regime: Regime,
     beta: float,
-    eps1_c: float = 0.0,
-    eps2_c: float = 0.0,
-    side: str = "lower",
+    eps1_c: float,
+    eps2_c: float,
+    side: str,
+    values: dict[float, float],
 ):
     """:func:`char_residual` as a function of theta alone.
 
     Validates every other argument here, once, with the errors
     :func:`char_residual` raises; the returned function checks only that
-    theta lies in (beta, 1) before evaluating the formula.
+    theta lies in (beta, 1) before evaluating the formula, and records each
+    value it returns in ``values``, keyed by theta.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
@@ -211,10 +212,11 @@ def _residual_function(
         else:
             e0 = erfinv(ratio)
             standalone = erfinv(erfinv_factor * ratio)
-        return (
+        values[theta] = value = (
             density_factor * tail * density * math.exp(-e0 * e0) / theta
             - _SQRT2 * standalone
         )
+        return value
 
     return residual
 
@@ -250,28 +252,30 @@ def solve_theta(
     the root to machine precision in theta; |residual| <= 1e-11 is checked
     at the end.  The arguments are validated once per root, and Brent runs
     the returned residual, whose evaluations at the two ends of the domain
-    are also the sign check.  Raises :class:`BracketError` when the residual
-    has the same sign at both ends.
+    are also the sign check; the final check reads Brent's own value at the
+    root.  Raises :class:`BracketError` when the residual has the same sign
+    at both ends.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
     beta = _check_beta(beta)
     eps = EpsilonSet() if eps is None else eps
     lo, hi = _bracket_interval(beta, eps, side)
-    residual = _residual_function(regime, beta, eps.eps1_c, eps.eps2_c, side)
+    values: dict[float, float] = {}
+    residual = _residual_function(regime, beta, eps.eps1_c, eps.eps2_c, side, values)
 
     try:
         theta = brentq(residual, lo, hi, xtol=1e-16)
     except ValueError:
-        # Brent's own refusal of a bracket without a sign change; any other
-        # ValueError (a DomainError from erfinv) is raised as it is.
-        if residual(lo) * residual(hi) > 0.0:
+        # Brent's refusal of a bracket without a sign change, made after it
+        # evaluated both ends; any other ValueError is raised as it is.
+        if lo in values and hi in values and values[lo] * values[hi] > 0.0:
             raise BracketError(
                 f"no sign change of the {regime.value} {side} characterization on "
                 f"({lo!r}, {hi!r}) for beta={beta!r}"
             ) from None
         raise
-    final = residual(theta)
+    final = values[theta]  # Brent returns a point it has evaluated
     if abs(final) > 1e-11:
         raise BracketError(
             f"root solve stalled with residual {final!r} at theta={theta!r}"
@@ -284,7 +288,7 @@ def alpha_w(regime: Regime, beta: float) -> ThresholdPoint:
     regime = Regime.coerce(regime)
     beta = _check_beta(beta)
     theta_hat = solve_theta(regime, beta, EpsilonSet(), side="lower")
-    return ThresholdPoint(beta=beta, theta_hat=theta_hat, alpha=theta_hat, regime=regime)
+    return ThresholdPoint(beta=beta, theta_hat=theta_hat, regime=regime)
 
 
 def alpha_bound(

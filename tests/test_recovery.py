@@ -242,7 +242,7 @@ class TestCheckRecovery:
         from l1weak.recovery import BPSolution
 
         sol = BPSolution(
-            x_hat=np.zeros(3), objective=0.0, feas_residual=0.0, iterations=1, converged=False
+            x_hat=np.zeros(3), objective=0.0, feas_residual=0.0, iterations=1, route="undecided"
         )
         assert not check_recovery(np.zeros(3), sol)
 
@@ -250,7 +250,7 @@ class TestCheckRecovery:
         from l1weak.recovery import BPSolution
 
         sol = BPSolution(
-            x_hat=np.zeros(3), objective=0.0, feas_residual=0.0, iterations=1, converged=True
+            x_hat=np.zeros(3), objective=0.0, feas_residual=0.0, iterations=1, route="vertex"
         )
         with pytest.raises(ValueError):
             check_recovery(np.zeros(4), sol)
@@ -266,7 +266,7 @@ class TestCheckRecovery:
             objective=0.0,
             feas_residual=0.0,
             iterations=1,
-            converged=True,
+            route="vertex",
         )
         # Error 2e-4 * max relative to scale: below the default 1e-4 *
         # max(1, ||x0||_inf) exactly when measured against the max norm.

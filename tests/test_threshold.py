@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from l1weak import threshold
+from l1weak.specfn import DomainError
 from l1weak.threshold import (
     BracketError,
     _bracket_interval,
@@ -188,10 +189,29 @@ class TestSolveTheta:
         with pytest.raises(BracketError, match=message):
             solve_theta(regime, beta, eps)
 
+    def test_domain_error_inside_the_domain_is_raised_as_it_is(self, monkeypatch):
+        # The bracket ends evaluate, so a DomainError at an interior theta
+        # is no bracket failure: the very exception erfinv raised propagates.
+        erfinv = threshold.erfinv
+        raised = []
+
+        def failing_inside(p):
+            if 1e-6 < p < 1.0 - 1e-6:
+                raised.append(DomainError(f"injected at p={p!r}"))
+                raise raised[-1]
+            return erfinv(p)
+
+        monkeypatch.setattr(threshold, "erfinv", failing_inside)
+        with pytest.raises(DomainError) as info:
+            solve_theta(Regime.GENERAL, 0.3)
+        assert len(raised) == 1
+        assert info.value is raised[0]
+
     def test_erfinv_calls_on_the_curve_grid(self, monkeypatch):
-        # Two erfinv calls per residual evaluation: Brent's evaluations,
-        # its two bracket ends among them, plus the final residual check.
-        # A separate sign check that evaluates the ends again reads 10,284.
+        # Two erfinv calls per residual evaluation, and only Brent's
+        # evaluations, its two bracket ends among them: the final residual
+        # check reads the value Brent computed at the root.  Evaluating it
+        # again reads 8,700; a separate sign check on top of that, 10,284.
         calls = 0
         erfinv = threshold.erfinv
 
@@ -206,7 +226,7 @@ class TestSolveTheta:
             for side in ("lower", "upper"):
                 for beta in CURVE_BETAS:
                     solve_theta(regime, beta, eps, side=side)
-        assert calls == 8700
+        assert calls == 7908
 
 
 class TestEpsilonSet:
