@@ -287,16 +287,12 @@ def _cmd_tau(args) -> ReportBundle:
     matrix = _load_matrix(args.matrix)
     n = matrix.shape[1]
     support = _parse_index_list(args.support, "--support")
+    signs = None if args.signs is None else _parse_index_list(args.signs, "--signs")
     if regime is Regime.SIGNED:
-        if args.signs is not None:
-            parsed = _parse_index_list(args.signs, "--signs")
-            if any(s != 1 for s in parsed):
-                raise UsageError("--signed requires --signs omitted or all +1")
-        signs = (1,) * len(support)
-    else:
-        if args.signs is None:
-            raise UsageError("--signs is required in the general regime")
-        signs = _parse_index_list(args.signs, "--signs")
+        if signs is not None and any(s != 1 for s in signs):
+            raise UsageError("--signed requires --signs omitted or all +1")
+    elif signs is None:
+        raise UsageError("--signs is required in the general regime")
     try:
         pattern = SupportPattern(n=n, support=support, signs=signs)
     except ValueError as exc:
@@ -337,6 +333,8 @@ def _cmd_phase(args) -> ReportBundle:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.threads < 0:
+        raise UsageError(f"--threads must be >= 0, got {args.threads}")
     cells = run_phase_grid(grid, threads=args.threads)
     if not cells:
         raise ValueError("every grid cell was infeasible (k < m < n never held)")

@@ -9,12 +9,12 @@ threshold, for two regimes:
 - ``signed``: the sparse vector is known a priori to be nonnegative.
 
 The epsilon-free ("fundamental") characterization is the default public API
-(:func:`alpha_w`, :func:`threshold_curve`).  The perturbed epsilon-forms — a
-family of slack parameters used to state the matching lower/upper bounds on
-the threshold — are exposed through :class:`EpsilonSet`,
-:func:`char_residual`, :func:`solve_theta` and :func:`alpha_bound`; at
-epsilon = 0 the lower and upper bounds coincide with theta_hat (the tests
-assert this collapse at 1e-9).
+(:func:`alpha_w`).  The perturbed epsilon-forms — a family of slack
+parameters used to state the matching lower/upper bounds on the threshold —
+are exposed through :class:`EpsilonSet`, :func:`char_residual`,
+:func:`solve_theta` and :func:`alpha_bound`.  Both bounds share one
+expression, so at epsilon = 0 they are the same float, and that float meets
+theta_hat (the tests assert both: equality, and the collapse at 1e-9).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 from scipy.optimize import brentq
 
-from .specfn import DomainError, erfinv
+from .specfn import erfinv
 
 __all__ = [
     "Regime",
@@ -36,12 +36,9 @@ __all__ = [
     "solve_theta",
     "alpha_w",
     "alpha_bound",
-    "threshold_curve",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_SQRT_1_OVER_2PI = math.sqrt(1.0 / (2.0 * math.pi))
 
 #: Offset keeping brackets strictly inside the open domain.
 _BRACKET_DELTA = 1e-9
@@ -69,10 +66,30 @@ class Regime(str, enum.Enum):
             ) from None
 
 
+#: How each regime enters the formulas, as (scale, shift, density): a head
+#: fraction p enters erfinv as scale*p - shift, and density is the Gaussian
+#: density constant of the head.
+_REGIME_FORM = {
+    Regime.GENERAL: (1.0, 0.0, math.sqrt(2.0 / math.pi)),
+    Regime.SIGNED: (2.0, 1.0, math.sqrt(1.0 / (2.0 * math.pi))),
+}
+
+
 def _check_side(side: str) -> str:
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     return side
+
+
+def _side_factors(side: str, eps1_c: float, eps2_c: float) -> tuple[float, float]:
+    """(density factor, erfinv factor) of the perturbed characterization.
+
+    The lower side moves the density down and the standalone erfinv argument
+    up by eps1_c; the upper side moves them the other way by eps2_c.
+    """
+    if side == "lower":
+        return 1.0 - eps1_c, 1.0 + eps1_c
+    return 1.0 + eps2_c, 1.0 - eps2_c
 
 
 @dataclass(frozen=True)
@@ -119,12 +136,7 @@ class ThresholdPoint:
     regime: Regime
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not self.beta < self.theta_hat < 1.0:
-            raise ValueError(
-                f"theta_hat must lie in (beta, 1), got {self.theta_hat!r}"
-            )
+        _check_theta_hat(self.theta_hat, _check_beta(self.beta))
 
     @property
     def alpha(self) -> float:
@@ -136,6 +148,13 @@ def _check_beta(beta: float) -> float:
     if not math.isfinite(beta) or not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     return beta
+
+
+def _check_theta_hat(theta_hat: float, beta: float) -> float:
+    theta_hat = float(theta_hat)
+    if not math.isfinite(theta_hat) or not beta < theta_hat < 1.0:
+        raise ValueError(f"theta_hat must lie in (beta, 1), got {theta_hat!r}")
+    return theta_hat
 
 
 def char_residual(
@@ -165,6 +184,12 @@ def char_residual(
     that :func:`solve_theta` builds once per root, with every argument but
     theta validated once, and evaluated here at the one theta.
     """
+    regime = Regime.coerce(regime)
+    side = _check_side(side)
+    beta = _check_beta(beta)
+    for name, value in (("eps1_c", eps1_c), ("eps2_c", eps2_c)):
+        if not 0.0 <= float(value) < 0.1:
+            raise ValueError(f"{name} must lie in [0, 0.1), got {value!r}")
     return _residual_function(regime, beta, eps1_c, eps2_c, side, {})(theta)
 
 
@@ -176,45 +201,26 @@ def _residual_function(
     side: str,
     values: dict[float, float],
 ):
-    """:func:`char_residual` as a function of theta alone.
+    """:func:`char_residual` as a function of theta alone, from validated arguments.
 
-    Validates every other argument here, once, with the errors
-    :func:`char_residual` raises; the returned function checks only that
-    theta lies in (beta, 1) before evaluating the formula, and records each
-    value it returns in ``values``, keyed by theta.
+    The returned function checks only that theta lies in (beta, 1) before
+    evaluating the formula, and records each value it returns in ``values``,
+    keyed by theta.
     """
-    regime = Regime.coerce(regime)
-    side = _check_side(side)
-    beta = _check_beta(beta)
-    for name, value in (("eps1_c", eps1_c), ("eps2_c", eps2_c)):
-        if not 0.0 <= float(value) < 0.1:
-            raise ValueError(f"{name} must lie in [0, 0.1), got {value!r}")
-
-    if side == "lower":
-        density_factor = 1.0 - eps1_c
-        erfinv_factor = 1.0 + eps1_c
-    else:
-        density_factor = 1.0 + eps2_c
-        erfinv_factor = 1.0 - eps2_c
-
+    density_factor, erfinv_factor = _side_factors(side, eps1_c, eps2_c)
+    scale, shift, density = _REGIME_FORM[regime]
     tail = 1.0 - beta
-    signed = regime is Regime.SIGNED
-    density = _SQRT_1_OVER_2PI if signed else _SQRT_2_OVER_PI
+    prefactor = density_factor * tail * density
 
     def residual(theta: float) -> float:
         theta = float(theta)
         if not math.isfinite(theta) or not beta < theta < 1.0:
             raise ValueError(f"theta must lie in (beta, 1), got {theta!r}")
         ratio = (1.0 - theta) / tail
-        if signed:
-            e0 = erfinv(2.0 * ratio - 1.0)  # raises DomainError outside (-1, 1)
-            standalone = erfinv(2.0 * erfinv_factor * ratio - 1.0)
-        else:
-            e0 = erfinv(ratio)
-            standalone = erfinv(erfinv_factor * ratio)
+        e0 = erfinv(scale * ratio - shift)  # raises DomainError outside (-1, 1)
         values[theta] = value = (
-            density_factor * tail * density * math.exp(-e0 * e0) / theta
-            - _SQRT2 * standalone
+            prefactor * math.exp(-e0 * e0) / theta
+            - _SQRT2 * erfinv(scale * (erfinv_factor * ratio) - shift)
         )
         return value
 
@@ -223,7 +229,7 @@ def _residual_function(
 
 def _bracket_interval(beta: float, eps: EpsilonSet, side: str):
     """Open interval of theta on which char_residual is defined."""
-    factor = (1.0 + eps.eps1_c) if side == "lower" else (1.0 - eps.eps2_c)
+    _, factor = _side_factors(side, eps.eps1_c, eps.eps2_c)
     # The standalone erfinv argument reaches 1 at theta = 1 - (1-beta)/factor
     # in both regimes; stay strictly above it (and above beta).
     lo = max(beta, 1.0 - (1.0 - beta) / factor) + _BRACKET_DELTA
@@ -302,67 +308,34 @@ def alpha_bound(
 
     side='lower' gives the largest alpha proven to succeed, side='upper' the
     smallest alpha proven to fail, each as a function of the matching
-    characterization root theta_hat and the slack constants.  At eps = 0 both
-    sides collapse to theta_hat exactly: the shared middle term equals
-    sqrt(2) E D and the characterization equation forces D / theta_hat =
-    sqrt(2) E, cancelling it against the squared-density term D^2/theta_hat.
+    characterization root theta_hat and the slack constants.  The lower
+    bound is the upper one's expression with eps1_m = eps1_g = eps3_g = 0, so
+    at eps = 0 both sides are one float, and that float is theta_hat: the
+    middle term equals sqrt(2) E D and the characterization equation forces
+    D / theta_hat = sqrt(2) E, cancelling it against the squared-density
+    term D^2/theta_hat.
     """
     regime = Regime.coerce(regime)
     side = _check_side(side)
     beta = _check_beta(beta)
-    theta_hat = float(theta_hat)
-    if not math.isfinite(theta_hat) or not beta < theta_hat < 1.0:
-        raise ValueError(f"theta_hat must lie in (beta, 1), got {theta_hat!r}")
-    eps = EpsilonSet() if eps is None else eps
+    theta_hat = _check_theta_hat(theta_hat, beta)
 
-    ratio = (1.0 - theta_hat) / (1.0 - beta)
-    sqrt_2pi = math.sqrt(2.0 * math.pi)
-    if regime is Regime.GENERAL:
-        e = erfinv(ratio)
-        density = (1.0 - beta) * _SQRT_2_OVER_PI * math.exp(-e * e)
-        head_mass = 2.0 * (1.0 - beta) / sqrt_2pi
-    else:
-        e = erfinv(2.0 * ratio - 1.0)
-        density = (1.0 - beta) * _SQRT_1_OVER_2PI * math.exp(-e * e)
-        head_mass = (1.0 - beta) / sqrt_2pi
+    scale, shift, density = _REGIME_FORM[regime]
+    e = erfinv(scale * ((1.0 - theta_hat) / (1.0 - beta)) - shift)
+    head_mass = (1.0 - beta) * density
+    gauss = math.exp(-e * e)
     # sqrt(2 E^2) taken literally: |E| (E can dip below 0 for signed
     # theta_hat > (1+beta)/2).
-    sq2e_exp = _SQRT2 * abs(e) * math.exp(-e * e)
-    mean_sq = density * density / theta_hat
+    sq2e_exp = _SQRT2 * abs(e) * gauss
+    head_density = head_mass * gauss
+    mean_sq = head_density * head_density / theta_hat
 
     if side == "lower":
-        if regime is Regime.GENERAL:
-            return (
-                (1.0 - beta)
-                / sqrt_2pi
-                * (sqrt_2pi + 2.0 * sq2e_exp - sqrt_2pi * ratio)
-                + beta
-                - mean_sq
-            )
-        return (1.0 - beta) / sqrt_2pi * sq2e_exp + theta_hat - mean_sq
-
+        return theta_hat + head_mass * sq2e_exp - mean_sq
+    eps = EpsilonSet() if eps is None else eps
     prefactor = 1.0 / (1.0 + eps.eps1_m) ** 2
     return prefactor * (
         (1.0 - eps.eps1_g) * (theta_hat + head_mass * sq2e_exp)
         - (1.0 + eps.eps3_g) ** 2 * mean_sq
     )
 
-
-def threshold_curve(regime: Regime, betas) -> list[ThresholdPoint]:
-    """Pointwise alpha_w over a strictly increasing beta grid."""
-    regime = Regime.coerce(regime)
-    grid = [float(b) for b in betas]
-    if not grid:
-        raise ValueError("beta grid must be non-empty")
-    for b in grid:
-        _check_beta(b)
-    for left, right in zip(grid, grid[1:]):
-        if not left < right:
-            raise ValueError(f"beta grid must be strictly increasing, got {left!r} >= {right!r}")
-    points = []
-    for b in grid:
-        try:
-            points.append(alpha_w(regime, b))
-        except (BracketError, DomainError) as exc:
-            raise BracketError(f"threshold solve failed at beta={b!r}: {exc}") from exc
-    return points

@@ -121,6 +121,65 @@ def char_residual_signed(theta, beta) -> mp.mpf:
     return (1 - beta) * mp.sqrt(1 / (2 * mp.pi)) * mp.e ** (-(e**2)) / theta - mp.sqrt(2) * e
 
 
+def char_residual_perturbed(regime: str, side: str, theta, beta, eps) -> mp.mpf:
+    """Perturbed characterization, independent transcription.
+
+    General regime, lower side, with E = erfinv((1-t)/(1-b)) free of eps:
+
+    (1-eps) (1-b) sqrt(2/pi) exp(-E^2) / t - sqrt(2) erfinv((1+eps) (1-t)/(1-b))
+
+    The upper side has (1+eps) on the density and (1-eps) inside the
+    standalone erfinv.  The signed regime has density sqrt(1/(2 pi)), and
+    each erfinv argument f (1-t)/(1-b) becomes 2 f (1-t)/(1-b) - 1.
+    """
+    theta, beta, eps = mp.mpf(theta), mp.mpf(beta), mp.mpf(eps)
+    ratio = (1 - theta) / (1 - beta)
+    density_factor, erfinv_factor = (1 - eps, 1 + eps) if side == "lower" else (1 + eps, 1 - eps)
+    if regime == "general":
+        density = mp.sqrt(2 / mp.pi)
+        e = erfinv_bisect(ratio)
+        standalone = erfinv_bisect(erfinv_factor * ratio)
+    else:
+        density = mp.sqrt(1 / (2 * mp.pi))
+        e = erfinv_bisect(2 * ratio - 1)
+        standalone = erfinv_bisect(2 * erfinv_factor * ratio - 1)
+    return density_factor * (1 - beta) * density * mp.e ** (-(e**2)) / theta - mp.sqrt(2) * standalone
+
+
+def threshold_bound(regime: str, side: str, beta, theta, eps1_m=0, eps1_g=0, eps3_g=0) -> mp.mpf:
+    """Closed-form lower or upper threshold bound at theta, independent transcription.
+
+    With r = (1-t)/(1-b), E = erfinv(r) (general) or erfinv(2r - 1) (signed),
+    D = (1-b) c exp(-E^2) where c = sqrt(2/pi) (general) or sqrt(1/(2 pi))
+    (signed), and s = sqrt(2) |E| exp(-E^2):
+
+    lower, general: (1-b)/sqrt(2 pi) (sqrt(2 pi) + 2 s - sqrt(2 pi) r) + b - D^2/t
+    lower, signed:  (1-b)/sqrt(2 pi) s + t - D^2/t
+    upper:          ((1-eps1_g) (t + h s) - (1+eps3_g)^2 D^2/t) / (1+eps1_m)^2
+
+    with head mass h = 2 (1-b)/sqrt(2 pi) (general) or (1-b)/sqrt(2 pi) (signed).
+    """
+    beta, theta = mp.mpf(beta), mp.mpf(theta)
+    ratio = (1 - theta) / (1 - beta)
+    root_2pi = mp.sqrt(2 * mp.pi)
+    if regime == "general":
+        e = erfinv_bisect(ratio)
+        density = (1 - beta) * mp.sqrt(2 / mp.pi) * mp.e ** (-(e**2))
+        head_mass = 2 * (1 - beta) / root_2pi
+    else:
+        e = erfinv_bisect(2 * ratio - 1)
+        density = (1 - beta) * mp.sqrt(1 / (2 * mp.pi)) * mp.e ** (-(e**2))
+        head_mass = (1 - beta) / root_2pi
+    s = mp.sqrt(2) * abs(e) * mp.e ** (-(e**2))
+    mean_sq = density**2 / theta
+    if side == "lower":
+        if regime == "general":
+            return (1 - beta) / root_2pi * (root_2pi + 2 * s - root_2pi * ratio) + beta - mean_sq
+        return (1 - beta) / root_2pi * s + theta - mean_sq
+    eps1_m, eps1_g, eps3_g = mp.mpf(eps1_m), mp.mpf(eps1_g), mp.mpf(eps3_g)
+    return ((1 - eps1_g) * (theta + head_mass * s) - (1 + eps3_g) ** 2 * mean_sq) / (1 + eps1_m) ** 2
+
+
 def solve_theta_bisect(regime: str, beta) -> mp.mpf:
     """Bisection to a 1e-25 bracket for the epsilon-free root theta in (beta, 1)."""
     beta = mp.mpf(beta)
@@ -267,3 +326,13 @@ if __name__ == "__main__":
     print("# char residual spot values")
     print("char_signed(theta=0.6, beta=0.3) =", _fmt(char_residual_signed("0.6", "0.3")))
     print("char_general(theta=0.6, beta=0.3) =", _fmt(char_residual_general("0.6", "0.3")))
+    print()
+    print("# perturbed residuals and bounds, every slack = 0.03")
+    for beta, theta in (("0.3", "0.7"), ("0.1", "0.5")):
+        for regime in ("general", "signed"):
+            for side in ("lower", "upper"):
+                key = f"{regime:7s} {side} beta={beta} theta={theta}"
+                residual = char_residual_perturbed(regime, side, theta, beta, "0.03")
+                bound = threshold_bound(regime, side, beta, theta, "0.03", "0.03", "0.03")
+                print(f"residual({key}) =", _fmt(residual))
+                print(f"bound({key})    =", _fmt(bound))

@@ -183,6 +183,15 @@ class TestTauVerb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("signs", ["1", "1,1,1"])
+    def test_signed_rejects_signs_of_the_wrong_length(self, tmp_path, capsys, signs):
+        path = self._matrix_file(tmp_path)
+        code, _ = dispatch(
+            ["tau", "--matrix", str(path), "--support", "0,2", "--signs", signs, "--signed"]
+        )
+        assert code == 2
+        assert "signs must have length k=2" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path, capsys):
         path = self._matrix_file(tmp_path)
         out = tmp_path / "cert.json"
@@ -370,6 +379,11 @@ class TestPhaseVerb:
             ]
         )
         assert code == 2
+
+    def test_negative_threads_usage_error(self, tmp_path, capsys):
+        code, _, _ = self._run(tmp_path, threads="-1")
+        assert code == 2
+        assert "--threads must be >= 0" in capsys.readouterr().err
 
     def test_svg_contains_cells(self, tmp_path):
         svg = tmp_path / "phase.svg"

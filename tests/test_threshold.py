@@ -23,7 +23,6 @@ from l1weak.threshold import (
     alpha_w,
     char_residual,
     solve_theta,
-    threshold_curve,
 )
 
 import oracles
@@ -44,6 +43,20 @@ THETA_HAT_ORACLE = {
 CHAR_SIGNED_SPOT = 0.27794000748528174
 CHAR_GENERAL_SPOT = -0.11117879590793141
 
+# [DERIVED] tests/oracles.py char_residual_perturbed and threshold_bound,
+# every slack = 0.03: (residual, bound) at each (regime, side, beta, theta).
+PERTURBED_EPS = 0.03
+PERTURBED_ORACLE = {
+    (Regime.GENERAL, "lower", 0.3, 0.7): (0.074451982579046196, 0.64581663946424098),
+    (Regime.GENERAL, "upper", 0.3, 0.7): (0.15306998267834327, 0.56276366966033436),
+    (Regime.SIGNED, "lower", 0.3, 0.7): (0.52810294997033105, 0.64160606025783452),
+    (Regime.SIGNED, "upper", 0.3, 0.7): (0.61717625966399475, 0.57739065915019462),
+    (Regime.GENERAL, "lower", 0.1, 0.5): (0.24692187267542038, 0.33523411728718982),
+    (Regime.GENERAL, "upper", 0.1, 0.5): (0.36722853866839987, 0.25727066459955317),
+    (Regime.SIGNED, "lower", 0.1, 0.5): (0.50775366475779004, 0.29682831949003016),
+    (Regime.SIGNED, "upper", 0.1, 0.5): (0.63482071773393692, 0.24973103826424105),
+}
+
 betas = st.floats(min_value=0.02, max_value=0.97)
 
 # beta values and slack constants on which the single sign change of the
@@ -62,6 +75,12 @@ class TestCharResidual:
         got_general = char_residual(Regime.GENERAL, theta=0.6, beta=0.3)
         assert abs(got_signed - CHAR_SIGNED_SPOT) <= 1e-14
         assert abs(got_general - CHAR_GENERAL_SPOT) <= 1e-14
+
+    @pytest.mark.parametrize("key,want", sorted(PERTURBED_ORACLE.items(), key=str))
+    def test_frozen_perturbed_values(self, key, want):
+        regime, side, beta, theta = key
+        eps = PERTURBED_EPS
+        assert abs(char_residual(regime, theta, beta, eps, eps, side) - want[0]) <= 1e-14
 
     def test_sides_coincide_at_eps_zero(self):
         for regime in Regime:
@@ -255,6 +274,22 @@ class TestAlphaBound:
         bound = alpha_bound(regime, side, beta, theta)
         assert abs(bound - theta) <= 1e-9
 
+    @pytest.mark.parametrize("key,want", sorted(PERTURBED_ORACLE.items(), key=str))
+    def test_frozen_values_at_nonzero_eps(self, key, want):
+        regime, side, beta, theta = key
+        eps = EpsilonSet(*[PERTURBED_EPS] * 7)
+        assert abs(alpha_bound(regime, side, beta, theta, eps) - want[1]) <= 1e-14
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_sides_coincide_exactly_at_eps_zero(self, regime):
+        # Lower is the upper expression with every concentration slack at
+        # zero, so at eps = 0 the two bounds are one float, not two close ones.
+        for beta in CURVE_BETAS:
+            theta = solve_theta(regime, beta)
+            assert alpha_bound(regime, "lower", beta, theta) == alpha_bound(
+                regime, "upper", beta, theta
+            ), beta
+
     def test_upper_shrinks_with_eps(self):
         # The upper closed form divides by (1+eps1_m)^2 and scales the head
         # down by (1-eps1_g): positive slack can only decrease it.
@@ -306,32 +341,6 @@ class TestStatisticalDimension:
             slope = oracles.statistical_dimension_slope(regime.value, beta, t_star)
             assert abs(float(value) - alpha) <= 1e-12, beta
             assert abs(float(slope)) <= 1e-12, beta
-
-
-class TestThresholdCurve:
-    def test_matches_pointwise_solves(self):
-        grid = [0.1, 0.3, 0.5, 0.7]
-        points = threshold_curve(Regime.SIGNED, grid)
-        assert [p.beta for p in points] == grid
-        for p in points:
-            assert p.theta_hat == solve_theta(Regime.SIGNED, p.beta)
-
-    def test_curve_is_increasing(self):
-        points = threshold_curve(Regime.GENERAL, [i / 20 for i in range(1, 20)])
-        alphas = [p.alpha for p in points]
-        assert all(a < b for a, b in zip(alphas, alphas[1:]))
-
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            threshold_curve(Regime.GENERAL, [0.3, 0.2])
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            threshold_curve(Regime.GENERAL, [])
-
-    def test_wraps_solver_failure(self):
-        with pytest.raises((BracketError, ValueError)):
-            threshold_curve(Regime.GENERAL, [0.5, 0.999999999])
 
 
 class TestRegime:
